@@ -80,7 +80,7 @@ def entry() -> Any:
     documents, extract main content (PDF/HTML/plain), stable-sort."""
     from pdf4py_ray.pipelines.extract_pipeline import run_extraction
 
-    ds = run_extraction(SF_SMOKE, out_dir=None, num_partitions=8, concurrency=(1, 4))
+    ds = run_extraction(SF_SMOKE, out_dir=None, num_partitions=8)
     return ds.select_columns(
         ["conv_id", "turn_idx", "kind", "extracted_text", "status", "n_objects", "n_bytes"]
     )
@@ -95,7 +95,7 @@ def _extract_turns(sf_dir: str):
     offsets live in ``x_extract_spans`` (list column, rows-only)."""
     from pdf4py_ray.pipelines.extract_pipeline import run_extraction
 
-    ds = run_extraction(sf_dir, out_dir=None, num_partitions=16, concurrency=(1, 8))
+    ds = run_extraction(sf_dir, out_dir=None, num_partitions=16)
     return ds.select_columns(
         ["conv_id", "turn_idx", "kind", "extracted_text", "status",
          "n_objects", "n_bytes"]
@@ -112,8 +112,7 @@ def _extract_spans(sf_dir: str):
 
     # unsorted: spans need no global order (the flattened rows carry
     # their own keys) and the pyarrow blocks keep the list type intact
-    ds = run_extraction(sf_dir, out_dir=None, num_partitions=16,
-                        concurrency=(1, 8), sort=False)
+    ds = run_extraction(sf_dir, out_dir=None, num_partitions=16, sort=False)
 
     def flatten(batch: pa.Table) -> pa.Table:
         rows = {"conv_id": [], "turn_idx": [], "span_idx": [],
@@ -148,9 +147,7 @@ def _extract_metrics(sf_dir: str):
     from pdf4py_ray.pipelines.extract_pipeline import extraction_dataset
     from pdf4py_ray.sources.transcripts import synth_transcripts
 
-    ds = extraction_dataset(
-        synth_transcripts(sf_dir), num_partitions=16, concurrency=(1, 8)
-    )
+    ds = extraction_dataset(synth_transcripts(sf_dir), num_partitions=16)
     return ds.groupby(["kind", "status"]).aggregate(
         Count(alias_name="n_turns"), Sum("n_bytes", alias_name="payload_bytes")
     )
@@ -170,7 +167,7 @@ def _extract_write(sf_dir: str):
 
     out_dir = tempfile.mkdtemp(prefix="pdf4py_ray_write_")
     try:
-        run_extraction(sf_dir, out_dir=out_dir, num_partitions=16, concurrency=(1, 8))
+        run_extraction(sf_dir, out_dir=out_dir, num_partitions=16)
         rows = []
         for part_id in sorted(checkpoint.completed_partitions(out_dir)):
             m = checkpoint.read_manifest(out_dir, part_id)

@@ -69,8 +69,8 @@ def bench_extract() -> tuple:
     The corpus (synthesized turns) is materialized to Parquet ONCE,
     untimed — the mission input is a Parquet turn table, so the timed
     section is the actual pipeline: column-pruned scan → partition tag
-    → extraction actor pool → sort. An untimed warm-up run first spins
-    up Ray workers / the actor pool so the timed run measures
+    → extraction tasks → sort. An untimed warm-up run first spins
+    up the Ray task workers so the timed run measures
     steady-state throughput — the regime that matters at 100 TB.
     """
     from pdf4py_ray.pipelines.extract_pipeline import (
@@ -81,13 +81,13 @@ def bench_extract() -> tuple:
 
     turns_dir = materialize_turns(SF_DIR, _turns_dir(), repeat=REPEAT)
 
-    # ALWAYS leave ≥2 CPUs outside the actor pool: a pool sized to the
-    # full budget starves the upstream read tasks (observed as a hard
-    # executor stall — reads backpressured forever at num_cpus=4)
+    # ALWAYS leave ≥2 CPUs outside the extraction stage: a cap at the
+    # full budget starved the upstream read tasks when extraction ran
+    # as an actor pool (a hard executor stall at num_cpus=4)
     pool = max(2, NUM_CPUS - 2)
     warm = run_extraction(
         "/root/testdata/sf0.001", out_dir=None,
-        num_partitions=8, concurrency=(pool, pool), batch_size=16, sort=False,
+        num_partitions=8, concurrency=pool, batch_size=16, sort=False,
     )
     warm.count()
 
@@ -114,7 +114,7 @@ def bench_extract() -> tuple:
         ds = extraction_from_parquet(
             turns_dir,
             num_partitions=max(32, NUM_CPUS * 2),
-            concurrency=(pool, pool),
+            concurrency=pool,
             batch_size=None,
             sort=False,
         )
@@ -128,7 +128,7 @@ def bench_extract() -> tuple:
     ds = extraction_from_parquet(
         turns_dir,
         num_partitions=max(32, NUM_CPUS * 2),
-        concurrency=(pool, pool),
+        concurrency=pool,
         batch_size=None,
         sort=sort,
     )

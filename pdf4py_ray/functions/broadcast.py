@@ -1,4 +1,4 @@
-"""Broadcast-side helpers for map_batches stages.
+"""Per-worker-process helpers for map_batches task stages.
 
 ``ray.get`` of a plasma object that is NOT zero-copy deserializable
 (a dict, a pandas DataFrame with object columns, a numpy object
@@ -15,10 +15,16 @@ per worker process: the unpickle happens at most once per worker
 (the same amortization an actor-pool ``__init__`` would give, but
 without forcing a task stage onto actors), and every subsequent
 batch pays one dict lookup.
+
+:func:`task_stage` gives a callable class the same treatment: one
+instance per worker process per pipeline build, run as a plain task
+stage. Ray starts task workers once per ``ray.init`` and reuses them,
+so no execution pays an actor start or holds a CPU for an idle pool.
 """
 
 from __future__ import annotations
 
+import uuid
 from collections import OrderedDict
 
 # Bounded per-process memo: workers are reused across stages, so an
@@ -27,6 +33,7 @@ from collections import OrderedDict
 # for stage overlap; evicted refs simply re-deserialize once.
 _CACHE_SLOTS = 4
 _cache: OrderedDict = OrderedDict()
+_MISS = object()
 
 
 def cached_get(ref):
@@ -35,14 +42,14 @@ def cached_get(ref):
     Use for broadcast payloads that are not plasma-zero-copy (dicts,
     DataFrames, object arrays). The first call in a worker pays the
     deserialization; later batches on the same worker get the cached
-    object. NEVER mutate the returned value — it is shared across
-    every batch the worker processes.
+    object (a cached ``None`` included). NEVER mutate the returned
+    value — it is shared across every batch the worker processes.
     """
     import ray
 
     key = ref.hex()
-    val = _cache.get(key)
-    if val is None:
+    val = _cache.get(key, _MISS)
+    if val is _MISS:
         val = ray.get(ref)
         _cache[key] = val
         if len(_cache) > _CACHE_SLOTS:
@@ -50,3 +57,37 @@ def cached_get(ref):
     else:
         _cache.move_to_end(key)
     return val
+
+
+# One (token, instance) slot per stage class in this worker process.
+_instances: dict = {}
+
+
+def worker_instance(cls, token: str, args: tuple, kwargs: dict):
+    """This process's ``cls(*args, **kwargs)`` for the build ``token``.
+
+    The slot of ``cls`` is replaced when the token changes, so two
+    pipeline builds never share an instance or whatever it caches."""
+    slot = _instances.get(cls)
+    if slot is None or slot[0] != token:
+        slot = _instances[cls] = (token, cls(*args, **kwargs))
+    return slot[1]
+
+
+def task_stage(name: str, cls, *args, **kwargs):
+    """A ``map_batches`` function that runs ``cls(*args, **kwargs)``
+    on each batch, built once per worker process for this call.
+
+    ``cls`` is a callable batch class that holds no state worth an
+    actor pool. It is constructed inside the worker, never in the
+    process that builds the pipeline. ``name`` names the operator in
+    Ray Data's stats."""
+    token = uuid.uuid4().hex
+
+    def stage(batch):
+        # a module-level function, so the worker resolves the real
+        # per-process slots rather than a pickled copy of them
+        return worker_instance(cls, token, args, kwargs)(batch)
+
+    stage.__name__ = name
+    return stage

@@ -3,13 +3,16 @@
 Lifecycle (SURVEY §3.4):
 
     read/synthesize turns                       # stateless, column-pruned
-      → add part_id (hash(conv_id) % P, salted) # stateless map_batches
-      → ExtractTurns actor pool                 # stateful map_batches, pyarrow batches
+      → add part_id (hash(conv_id) % P, salted) # task map_batches
+      → ExtractTurns                            # task map_batches, pyarrow batches;
+                                                # one extractor per worker per build
       → sort(conv_id, turn_idx)                 # stable order for the equality gate
       → write_parquet(partition_cols=[part_id]) # + per-partition manifests
 
-Everything stays a lazy streaming ``Dataset`` until a terminal
-consume; no mid-pipeline materialization.
+Every stage is a task stage: Ray starts task workers once per
+``ray.init`` and reuses them, so an execution pays no actor start and
+leaves no idle pool holding CPUs. Everything stays a lazy streaming ``Dataset`` until
+a terminal consume; no mid-pipeline materialization.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import functools
 import os
 from typing import Optional
 
+from ..functions.broadcast import task_stage
 from ..sources.transcripts import synth_transcripts
 from ..stages.extract import ExtractTurns
 from ..stages.partition import add_part_id
@@ -32,11 +36,16 @@ def extraction_dataset(
     turns_ds,
     num_partitions: int = 32,
     salt_turns: Optional[int] = 16,
-    concurrency=(2, 8),
+    concurrency: Optional[int] = None,
     batch_size: int = 32,
     skip_partitions: Optional[set] = None,
 ):
-    """Wire the extraction stages onto an existing turns Dataset."""
+    """Wire the extraction stages onto an existing turns Dataset.
+
+    ``concurrency`` caps the extraction tasks running at once; ``None``
+    leaves it to Ray Data. ``ExtractTurns`` and ``add_part_id`` are
+    read from this module when the pipeline is built, and each build
+    gets fresh extractors, so no payload memo outlives its run."""
     from ..config import apply_engine_defaults
 
     apply_engine_defaults()
@@ -59,11 +68,10 @@ def extraction_dataset(
 
         ds = ds.map_batches(drop_done, batch_format="pyarrow")
     return ds.map_batches(
-        ExtractTurns,
+        task_stage("extract_turns", ExtractTurns),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
-        num_cpus=1,
     )
 
 
@@ -79,7 +87,7 @@ def run_extraction(
     out_dir: Optional[str] = None,
     num_partitions: int = 32,
     salt_turns: Optional[int] = 16,
-    concurrency=(2, 8),
+    concurrency: Optional[int] = None,
     batch_size: int = 32,
     sort: bool = True,
     resume: bool = True,
@@ -89,6 +97,7 @@ def run_extraction(
 
     Returns the result Dataset when ``out_dir`` is None, else writes
     partitioned parquet + manifests and returns the output path.
+    ``concurrency`` caps the extraction tasks (``None``: no cap).
     """
     turns = synth_transcripts(sf_dir, repeat=repeat)
     params = {"num_partitions": num_partitions, "salt_turns": salt_turns,
@@ -325,13 +334,14 @@ def extraction_from_parquet(
     turns_dir: str,
     num_partitions: int = 64,
     salt_turns: Optional[int] = 16,
-    concurrency=(2, 8),
+    concurrency: Optional[int] = None,
     batch_size: Optional[int] = None,
     sort: bool = True,
 ):
     """The production-shaped pipeline: column-pruned Parquet scan of
-    transcript turns → partition tag → extraction actor pool → stable
+    transcript turns → partition tag → extraction tasks → stable
     sort. This is what runs against the real 10^12-turn table.
+    ``concurrency`` caps the extraction tasks (``None``: no cap).
 
     ``sort``: ``"range"`` (the default gate shape) applies
     :func:`range_sorted` — split points sampled from the input, one

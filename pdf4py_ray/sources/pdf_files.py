@@ -9,6 +9,10 @@ pipeline as transcript-embedded payloads. Built on
 no driver-side file loop); each file becomes a single-turn
 conversation whose payload is the standard base64 PDF envelope, so
 ``ExtractTurns`` needs no special casing.
+
+The streaming variant ships only paths and runs ``ExtractPdfFromPath``
+as a task stage: each worker process builds one extractor per pipeline
+build and mmaps the files it is given.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ import base64
 import json
 import os
 from datetime import datetime
+from typing import Optional
 
+import numpy as np
 import pyarrow as pa
 
 _EPOCH = datetime(2026, 1, 1)
@@ -75,7 +81,7 @@ def list_pdf_paths(path: str, parallelism: int = 64):
     list-on-driver / read-on-worker split Ray's own file datasources
     use — so no file byte ever enters the object store from the
     listing. Rows are spread across ``parallelism`` blocks so the
-    downstream actor pool gets work from the first block."""
+    downstream extraction tasks get work from the first block."""
     import ray.data as rd
 
     paths, sizes = [], []
@@ -95,7 +101,7 @@ def list_pdf_paths(path: str, parallelism: int = 64):
 
 
 class ExtractPdfFromPath:
-    """Actor-pool stage: ``{path}`` rows → extracted-text rows with the
+    """Task stage: ``{path}`` rows → extracted-text rows with the
     transcript pipeline's output schema.
 
     Unlike ``read_pdf_corpus`` (which ships each file's bytes through
@@ -131,50 +137,40 @@ class ExtractPdfFromPath:
         return text, spans, n_objects, status, error
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.extract import OUTPUT_FIELDS
-
-        out_rows = []
-        for path, n_bytes in zip(batch["path"].to_pylist(),
-                                 batch["n_bytes"].to_pylist()):
-            text, spans, n_objects, status, error = self.extract_one(path)
-            stem = os.path.splitext(os.path.basename(path))[0]
-            out_rows.append({
-                "conv_id": f"file-{stem}",
-                "turn_idx": 0,
-                "role": "tool",
-                "tool": "pdf_reader",
-                "ts": _EPOCH,
-                "kind": "pdf",
-                "extracted_text": text,
-                "spans": [{"start": s, "end": e, "kind": k} for s, e, k in spans],
-                "n_objects": n_objects,
-                "n_bytes": n_bytes,
-                "status": status,
-                "error": error,
-            })
+        from ..stages.extract import append_output
         from .transcripts import TURN_SCHEMA
 
-        fields = [TURN_SCHEMA.field(c) for c in
-                  ("conv_id", "turn_idx", "role", "tool", "ts")]
-        schema = pa.schema(fields + [pa.field(n, t) for n, t in OUTPUT_FIELDS])
-        return pa.Table.from_pylist(out_rows, schema=schema)
+        paths = batch["path"].to_pylist()
+        rows = []
+        for path, n_bytes in zip(paths, batch["n_bytes"].to_pylist()):
+            text, spans, n_objects, status, error = self.extract_one(path)
+            rows.append(("pdf", text, spans, n_objects, n_bytes, status, error))
+        n = len(paths)
+        keys = pa.table(
+            [[f"file-{os.path.splitext(os.path.basename(p))[0]}" for p in paths],
+             np.zeros(n, dtype=np.int32), ["tool"] * n, ["pdf_reader"] * n, [_EPOCH] * n],
+            schema=pa.schema([TURN_SCHEMA.field(c) for c in
+                              ("conv_id", "turn_idx", "role", "tool", "ts")]),
+        )
+        return append_output(keys, rows)
 
 
-def extract_pdf_corpus_streaming(path: str, concurrency=(2, 8),
+def extract_pdf_corpus_streaming(path: str, concurrency: Optional[int] = None,
                                  batch_size: int = 8, parallelism: int = 64):
     """End-to-end streaming: PDF directory → extracted text Dataset,
     no file bytes through the object store (paths shuffle, workers
     mmap). Output rows match ``extract_pdf_corpus`` minus ``part_id``
-    (there is no turn table to partition)."""
+    (there is no turn table to partition). ``concurrency`` caps the
+    extraction tasks (``None``: no cap)."""
     from ..config import apply_engine_defaults
+    from ..functions.broadcast import task_stage
     from ..pipelines.extract_pipeline import SORT_KEYS
 
     apply_engine_defaults()
     ds = list_pdf_paths(path, parallelism=parallelism).map_batches(
-        ExtractPdfFromPath,
+        task_stage("extract_pdf_from_path", ExtractPdfFromPath),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
-        num_cpus=1,
     )
     return ds.sort(SORT_KEYS)

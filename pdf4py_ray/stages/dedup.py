@@ -18,6 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.broadcast import task_stage
 from ..functions.hashing import (
     band_hashes,
     md5_lower64,
@@ -104,8 +105,10 @@ def _shingle_hashes(text: str, k: int = SHINGLE_WORDS) -> np.ndarray:
 
 
 class MinHashSignatures:
-    """Actor stage: text → ONE sketch row per doc
-    (doc_id, 64-perm signature, 16 band hashes)."""
+    """Batch sketcher: text → ONE sketch row per doc
+    (doc_id, 64-perm signature, 16 band hashes). Runs as a task stage
+    (:func:`~..functions.broadcast.task_stage`): the permutation
+    parameters are built once per worker process per pipeline build."""
 
     def __init__(self, text_col: str = "text", id_col: str = "doc_id") -> None:
         self.text_col = text_col
@@ -141,7 +144,7 @@ class MinHashSignatures:
 
 
 def minhash_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
-                      threshold: float = 0.8, concurrency=(2, 8),
+                      threshold: float = 0.8, concurrency: int | None = None,
                       rows_hint: int | None = None, batch_size: int = 256):
     """Near-duplicate pairs via MinHash-LSH.
 
@@ -159,12 +162,13 @@ def minhash_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     ``rows_hint`` (the known corpus row count, e.g. parquet metadata)
     sizes the pre-groupby exchanges (see
     :func:`~.relational.shuffle_coalesced`) and picks the attach path
-    without an extra count.
+    without an extra count. ``concurrency`` caps the sketch tasks
+    running at once (``None``: no cap).
     Returns (id_a, id_b, est_jaccard) with id_a < id_b, deduplicated.
     """
     sketches = ds.map_batches(
-        MinHashSignatures,
-        fn_constructor_kwargs={"text_col": text_col, "id_col": id_col},
+        task_stage("minhash_signatures", MinHashSignatures,
+                   text_col=text_col, id_col=id_col),
         batch_format="pyarrow",
         concurrency=concurrency,
         batch_size=batch_size,

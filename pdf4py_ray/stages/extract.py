@@ -1,12 +1,17 @@
 """The extraction stage: transcript turns → extracted main content.
 
-An actor-pool ``map_batches`` stage (SURVEY §3.4): the callable class
-is instantiated once per actor (``__init__`` compiles regexes and
-builds the extractor registry), then invoked per zero-copy Arrow
-batch. Each row is classified (PDF envelope / HTML / plain text) and
-dispatched through the per-document kernel; errors are *total* — a
-malformed payload yields a ``status="error"`` row and never poisons
-the batch (the retry-safety requirement of SURVEY §4.2).
+A task ``map_batches`` stage over zero-copy Arrow batches (SURVEY
+§3.4). The stage holds no state worth an actor pool: each worker
+process builds one ``ExtractTurns`` per pipeline build
+(:func:`~pdf4py_ray.functions.broadcast.task_stage`) and reuses it for
+every batch it runs. Each row is classified (PDF envelope / HTML /
+plain text) and dispatched through the per-document kernel; errors are
+*total* — a malformed payload yields a ``status="error"`` row and
+never poisons the batch (the retry-safety requirement of SURVEY §4.2).
+
+An ``ExtractTurns`` instance memoizes its PDF and HTML rows by payload
+digest, so a payload sent again (a re-attached file, a re-fetched
+page) is parsed once per instance — once per run and worker process.
 
 The extractor registry mirrors the reference's decoder registry
 (``pdf4py/_decoders.py:7-14``) as the engine's user-extension surface:
@@ -19,11 +24,14 @@ from __future__ import annotations
 import base64
 import json
 import re
-from typing import Callable, List, Tuple
+import sys
+from collections import OrderedDict
+from hashlib import blake2b
+from typing import Callable, Tuple
 
+import numpy as np
 import pyarrow as pa
 
-from ..kernel.errors import PdfError
 from ..kernel.html_extract import extract_html_text, looks_like_html
 from ..kernel.text import extract_pdf_text
 
@@ -94,29 +102,97 @@ def classify_payload(text: str, tool: str) -> Tuple[str, object]:
     return "text", text or ""
 
 
-class ExtractTurns:
-    """Actor-pool batch extractor (``map_batches(ExtractTurns, ...)``).
+def spans_array(spans_per_row) -> pa.Array:
+    """``SPAN_TYPE`` column from one ``[(start, end, kind), ...]`` per
+    row, built from flat offset/start/end/kind arrays."""
+    offsets = np.zeros(len(spans_per_row) + 1, dtype=np.int32)
+    np.cumsum([len(spans) for spans in spans_per_row], out=offsets[1:])
+    flat = [span for spans in spans_per_row for span in spans]
+    starts, ends, kinds = zip(*flat) if flat else ((), (), ())
+    values = pa.StructArray.from_arrays(
+        [pa.array(starts, pa.int32()), pa.array(ends, pa.int32()),
+         pa.array(kinds, pa.string())],
+        fields=list(SPAN_TYPE.value_type),
+    )
+    return pa.ListArray.from_arrays(pa.array(offsets), values, type=SPAN_TYPE)
 
-    Per-actor state set up once in ``__init__``; per-batch work in
-    ``__call__`` over ``batch_format="pyarrow"`` batches.
+
+def append_output(table: pa.Table, rows) -> pa.Table:
+    """``table`` plus the ``OUTPUT_FIELDS`` columns of ``(kind,
+    extracted_text, spans, n_objects, n_bytes, status, error)`` row
+    tuples, one per table row."""
+    cols = list(zip(*rows)) or [()] * len(OUTPUT_FIELDS)
+    for (name, typ), values in zip(OUTPUT_FIELDS, cols):
+        col = spans_array(values) if name == "spans" else pa.array(values, type=typ)
+        table = table.append_column(name, col)
+    return table
+
+
+# Bounds of one instance's payload memo: entries, and the memory of the
+# extracted text they hold.
+MEMO_ENTRIES = 1024
+MEMO_TEXT_BYTES = 32 << 20
+
+
+class PayloadMemo:
+    """LRU of extracted rows keyed by ``(kind, payload digest)``,
+    bounded by ``MEMO_ENTRIES`` and ``MEMO_TEXT_BYTES``."""
+
+    def __init__(self) -> None:
+        self.rows: OrderedDict = OrderedDict()
+        self.text_bytes = 0
+
+    def get(self, key):
+        row = self.rows.get(key)
+        if row is not None:
+            self.rows.move_to_end(key)
+        return row
+
+    def put(self, key, row) -> None:
+        size = sys.getsizeof(row[1])
+        if size > MEMO_TEXT_BYTES:
+            return
+        self.rows[key] = row
+        self.text_bytes += size
+        while len(self.rows) > MEMO_ENTRIES or self.text_bytes > MEMO_TEXT_BYTES:
+            _, old = self.rows.popitem(last=False)
+            self.text_bytes -= sys.getsizeof(old[1])
+
+
+class ExtractTurns:
+    """Batch extractor: ``ExtractTurns()(batch)`` over
+    ``batch_format="pyarrow"`` batches.
+
+    Holds the extractor registry and a payload memo (:class:`PayloadMemo`)
+    scoped to this instance: a repeated PDF or HTML payload returns
+    the row its first extraction produced, error rows included.
     """
 
     def __init__(self) -> None:
         self.registry = dict(_EXTRACTORS)
         self.classify = classify_payload
+        self.memo = PayloadMemo()
 
     def extract_one(self, text: str, tool: str):
         """Total per-row kernel: never raises."""
         kind, payload = self.classify(text, tool)
+        if kind == "text":
+            return self._extract(kind, payload)
+        raw = payload.encode("utf-8", "surrogatepass") if isinstance(payload, str) else payload
+        key = (kind, blake2b(raw, digest_size=16).digest())
+        row = self.memo.get(key)
+        if row is None:
+            row = self._extract(kind, payload)
+            self.memo.put(key, row)
+        return row
+
+    def _extract(self, kind: str, payload):
         n_bytes = len(payload) if isinstance(payload, (bytes, bytearray)) else len(payload or "")
         try:
             extracted, spans, n_objects = self.registry[kind](payload)
             status, error = "ok", ""
             if not extracted:
                 status = "empty"
-        except PdfError as exc:
-            extracted, spans, n_objects = "", [], 0
-            status, error = "error", f"{type(exc).__name__}: {exc}"[:200]
         except Exception as exc:  # noqa: BLE001 — totality over a malformed payload
             extracted, spans, n_objects = "", [], 0
             status, error = "error", f"{type(exc).__name__}: {exc}"[:200]
@@ -125,23 +201,6 @@ class ExtractTurns:
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch["text"].to_pylist()
         tools = batch["tool"].to_pylist() if "tool" in batch.column_names else [""] * len(texts)
-        cols: List[list] = [[] for _ in OUTPUT_FIELDS]
-        for text, tool in zip(texts, tools):
-            kind, extracted, spans, n_objects, n_bytes, status, error = self.extract_one(
-                text or "", tool or ""
-            )
-            values = (
-                kind,
-                extracted,
-                [{"start": s, "end": e, "kind": k} for s, e, k in spans],
-                n_objects,
-                n_bytes,
-                status,
-                error,
-            )
-            for lst, v in zip(cols, values):
-                lst.append(v)
-        out = batch.drop_columns(["text"])  # the raw payload column is heavy — drop it
-        for (name, typ), values in zip(OUTPUT_FIELDS, cols):
-            out = out.append_column(name, pa.array(values, type=typ))
-        return out
+        rows = [self.extract_one(text or "", tool or "") for text, tool in zip(texts, tools)]
+        # the raw payload column is heavy — drop it
+        return append_output(batch.drop_columns(["text"]), rows)

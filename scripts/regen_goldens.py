@@ -6,6 +6,9 @@ transcript synthesis contract:
 
     python scripts/regen_goldens.py
 
+``python scripts/regen_goldens.py --check`` recomputes the same tables
+and compares them with the committed files without writing anything.
+
 The goldens are the sf0.01 outputs of the flagship queries, stable-
 sorted. They are NOT self-blessing: extraction correctness is pinned
 independently by tests/test_reference_corpus.py (real reference PDFs)
@@ -24,50 +27,59 @@ SF = "/root/testdata/sf0.01"
 OUT = os.path.join(REPO, "tests", "golden")
 
 
-def main() -> None:
+def golden_tables(q) -> dict:
+    """File name → the stable-sorted table that golden holds."""
     import pyarrow as pa
+
+    def stable(ds, keys):
+        t = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
+        return t.sort_by([(k, "ascending") for k in keys])
+
+    # x_extract_write is deterministic under the fixed 16-way hash partitioning
+    write = pa.Table.from_pandas(q["x_extract_write"](SF), preserve_index=False)
+    return {
+        "x_extract_turns_sf001.parquet": stable(q["x_extract_turns"](SF),
+                                                ["conv_id", "turn_idx"]),
+        "x_extract_metrics_sf001.parquet": stable(q["x_extract_metrics"](SF),
+                                                  ["kind", "status"]),
+        "x_extract_spans_sf001.parquet": stable(q["x_extract_spans"](SF),
+                                                ["conv_id", "turn_idx", "span_idx"]),
+        "x_extract_write_sf001.parquet": write.sort_by([("part_id", "ascending")]),
+    }
+
+
+def main() -> int:
+    """Write the goldens, or with ``--check`` compare the current
+    outputs with the committed goldens and write nothing (exit 1 on a
+    difference)."""
     import pyarrow.parquet as pq
     import ray
 
+    check = "--check" in sys.argv[1:]
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  logging_level="ERROR")
     import __ray_entry__ as e
 
     os.makedirs(OUT, exist_ok=True)
-    q = e.queries()
-
-    turns = q["x_extract_turns"](SF)
-    t = pa.concat_tables(turns.iter_batches(batch_format="pyarrow"))
-    t = t.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
-    pq.write_table(t, os.path.join(OUT, "x_extract_turns_sf001.parquet"))
-    print("x_extract_turns golden:", t.num_rows, "rows")
-
-    metrics = q["x_extract_metrics"](SF)
-    m = pa.concat_tables(metrics.iter_batches(batch_format="pyarrow"))
-    m = m.sort_by([("kind", "ascending"), ("status", "ascending")])
-    pq.write_table(m, os.path.join(OUT, "x_extract_metrics_sf001.parquet"))
-    print("x_extract_metrics golden:", m.num_rows, "rows")
-
-    spans = q["x_extract_spans"](SF)
-    sp = pa.concat_tables(spans.iter_batches(batch_format="pyarrow"))
-    sp = sp.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending"),
-                     ("span_idx", "ascending")])
-    pq.write_table(sp, os.path.join(OUT, "x_extract_spans_sf001.parquet"))
-    print("x_extract_spans golden:", sp.num_rows, "rows")
-
-    # deterministic under the fixed 16-way hash partitioning
-    w = pa.Table.from_pandas(q["x_extract_write"](SF), preserve_index=False)
-    w = w.sort_by([("part_id", "ascending")])
-    pq.write_table(w, os.path.join(OUT, "x_extract_write_sf001.parquet"))
-    print("x_extract_write golden:", w.num_rows, "rows")
+    differ = 0
+    for name, table in golden_tables(e.queries()).items():
+        path = os.path.join(OUT, name)
+        if check:
+            same = table.equals(pq.read_table(path))
+            differ += not same
+            print(name, "unchanged" if same else "DIFFERS", f"({table.num_rows} rows)")
+        else:
+            pq.write_table(table, path)
+            print(name, "written:", table.num_rows, "rows")
 
     # NOTE: s_knn_lsh / s_knn_ivf / m_media_decode / m_frame_sample no
     # longer use goldens — their oracles are independent recomputations
     # (seed-derived SQL literals; spec-rederived media parquet).
 
     ray.shutdown()
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -33,6 +33,41 @@ def test_mulmod61_matches_bigint():
         assert (got == want).all()
 
 
+def _stable_hash64_scalar(data: bytes) -> int:
+    """The documented formula of ``stable_hash64_column`` in plain
+    integers: XOR of ``(byte+1)·p^(len-1-j) mod 2^64``, then splitmix64
+    over that plus ``len·golden`` (0 for the empty string)."""
+    mask, p = (1 << 64) - 1, 0x100000001B3
+    h = 0
+    for j, byte in enumerate(data):
+        h ^= ((byte + 1) * pow(p, len(data) - 1 - j, 1 << 64)) & mask
+    z = (h + len(data) * 0x9E3779B97F4A7C15) & mask
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & mask
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_stable_hash64_column_bytes_0xff():
+    """A 0xFF byte counts as 256, not as 0 wrapped in uint8, so two byte
+    strings that differ only in that byte hash differently, and strings
+    (UTF-8 has no 0xFF byte) hash exactly as their bytes."""
+    import pyarrow as pa
+
+    from pdf4py_ray.functions.hashing import stable_hash64_column
+
+    values = [b"a\xffb", b"a\xfeb", b"\xff", b"\xff\xff", b"word", b""]
+    got = stable_hash64_column(pa.array(values, type=pa.binary()))
+    assert [int(v) for v in got] == [_stable_hash64_scalar(v) for v in values]
+    assert len(set(got.tolist())) == len(values)
+    words = ["word", "naïve", "日本", ""]
+    assert (stable_hash64_column(words)
+            == stable_hash64_column(pa.array([w.encode() for w in words]))).all()
+    assert [int(v) for v in stable_hash64_column(words)] == [
+        _stable_hash64_scalar(w.encode()) for w in words]
+
+
 def test_rolling_min_fingerprint_matches_scalar():
     from pdf4py_ray.functions.hashing import rolling_min_fingerprint
 
