@@ -59,19 +59,26 @@ def cached_get(ref):
     return val
 
 
-# One (token, instance) slot per stage class in this worker process.
-_instances: dict = {}
+# Stage instances of recent pipeline builds in this worker process,
+# keyed by build token (LRU): concurrent builds each keep theirs, and
+# an instance outlives its run only until newer builds push it out.
+# When the package is shipped by value (``__ray_entry__`` registers it
+# with cloudpickle), every task unpickles its own copy of these module
+# globals, so an instance — and a ``cached_get`` entry — lasts one task.
+_STAGE_SLOTS = 4
+_instances: OrderedDict = OrderedDict()
 
 
-def worker_instance(cls, token: str, args: tuple, kwargs: dict):
-    """This process's ``cls(*args, **kwargs)`` for the build ``token``.
-
-    The slot of ``cls`` is replaced when the token changes, so two
-    pipeline builds never share an instance or whatever it caches."""
-    slot = _instances.get(cls)
-    if slot is None or slot[0] != token:
-        slot = _instances[cls] = (token, cls(*args, **kwargs))
-    return slot[1]
+def stage_instance(token: str, cls, args: tuple, kwargs: dict):
+    """This process's ``cls(*args, **kwargs)`` for the build ``token``."""
+    inst = _instances.get(token)
+    if inst is None:
+        inst = _instances[token] = cls(*args, **kwargs)
+        if len(_instances) > _STAGE_SLOTS:
+            _instances.popitem(last=False)
+    else:
+        _instances.move_to_end(token)
+    return inst
 
 
 def task_stage(name: str, cls, *args, **kwargs):
@@ -80,14 +87,17 @@ def task_stage(name: str, cls, *args, **kwargs):
 
     ``cls`` is a callable batch class that holds no state worth an
     actor pool. It is constructed inside the worker, never in the
-    process that builds the pipeline. ``name`` names the operator in
-    Ray Data's stats."""
+    process that builds the pipeline, and each call of this function
+    (each pipeline build) gets its own instance per worker — the
+    lifetime an actor-pool instance had, so a subclass that keeps
+    per-run state (counters, a seen-set) still sees one run. ``name``
+    names the operator in Ray Data's stats."""
     token = uuid.uuid4().hex
 
     def stage(batch):
         # a module-level function, so the worker resolves the real
         # per-process slots rather than a pickled copy of them
-        return worker_instance(cls, token, args, kwargs)(batch)
+        return stage_instance(token, cls, args, kwargs)(batch)
 
     stage.__name__ = name
     return stage

@@ -51,19 +51,14 @@ def stable_hash64_column(values) -> np.ndarray:
     both. Position-from-end salting makes the hash order-dependent
     (p is odd, so ``(byte+1)·p^e`` is injective per position); the
     finalizer folds in the length so prefixes don't collide. Nulls /
-    None hash as the empty string. A binary Arrow array hashes its raw
-    bytes; a string equals its UTF-8 bytes. ~10× the old blake2b-per-row loop
+    None hash as the empty string. ~10× the old blake2b-per-row loop
     on short-word columns (micro-benched in BASELINE.md)."""
     import pyarrow as pa
 
     n = len(values)
     if n == 0:
         return np.empty(0, dtype=np.uint64)
-    if isinstance(values, pa.Array) and (pa.types.is_binary(values.type)
-                                         or pa.types.is_large_binary(values.type)):
-        arr = values.cast(pa.large_binary())
-    else:
-        arr = pa.array(values, type=pa.large_string(), from_pandas=True)
+    arr = pa.array(values, type=pa.large_string(), from_pandas=True)
     if arr.null_count:
         arr = arr.fill_null("")
     offs = np.frombuffer(arr.buffers()[1], dtype=np.int64,
@@ -71,6 +66,13 @@ def stable_hash64_column(values) -> np.ndarray:
     data_buf = arr.buffers()[2]
     data = (np.frombuffer(data_buf, dtype=np.uint8)
             if data_buf is not None else np.empty(0, dtype=np.uint8))
+    return _hash64_bytes(data, offs)
+
+
+def _hash64_bytes(data: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """The kernel of :func:`stable_hash64_column`: one hash per byte
+    string ``data[offs[i]:offs[i+1]]`` of a uint8 buffer (Arrow
+    large-binary layout, int64 offsets)."""
     base = offs[0]
     starts = offs[:-1] - base
     ends = offs[1:] - base

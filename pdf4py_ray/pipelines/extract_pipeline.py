@@ -11,8 +11,8 @@ Lifecycle (SURVEY §3.4):
 
 Every stage is a task stage: Ray starts task workers once per
 ``ray.init`` and reuses them, so an execution pays no actor start and
-leaves no idle pool holding CPUs. Everything stays a lazy streaming ``Dataset`` until
-a terminal consume; no mid-pipeline materialization.
+leaves no idle pool holding CPUs. Everything stays a lazy streaming
+``Dataset`` until a terminal consume; no mid-pipeline materialization.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def extraction_dataset(
     ``concurrency`` caps the extraction tasks running at once; ``None``
     leaves it to Ray Data. ``ExtractTurns`` and ``add_part_id`` are
     read from this module when the pipeline is built, and each build
-    gets fresh extractors, so no payload memo outlives its run."""
+    gets its own extractor in each worker process."""
     from ..config import apply_engine_defaults
 
     apply_engine_defaults()

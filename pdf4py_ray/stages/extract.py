@@ -9,10 +9,6 @@ plain text) and dispatched through the per-document kernel; errors are
 *total* — a malformed payload yields a ``status="error"`` row and
 never poisons the batch (the retry-safety requirement of SURVEY §4.2).
 
-An ``ExtractTurns`` instance memoizes its PDF and HTML rows by payload
-digest, so a payload sent again (a re-attached file, a re-fetched
-page) is parsed once per instance — once per run and worker process.
-
 The extractor registry mirrors the reference's decoder registry
 (``pdf4py/_decoders.py:7-14``) as the engine's user-extension surface:
 ``@register_extractor(kind)`` adds a payload kind without touching the
@@ -24,9 +20,6 @@ from __future__ import annotations
 import base64
 import json
 import re
-import sys
-from collections import OrderedDict
-from hashlib import blake2b
 from typing import Callable, Tuple
 
 import numpy as np
@@ -128,65 +121,17 @@ def append_output(table: pa.Table, rows) -> pa.Table:
     return table
 
 
-# Bounds of one instance's payload memo: entries, and the memory of the
-# extracted text they hold.
-MEMO_ENTRIES = 1024
-MEMO_TEXT_BYTES = 32 << 20
-
-
-class PayloadMemo:
-    """LRU of extracted rows keyed by ``(kind, payload digest)``,
-    bounded by ``MEMO_ENTRIES`` and ``MEMO_TEXT_BYTES``."""
-
-    def __init__(self) -> None:
-        self.rows: OrderedDict = OrderedDict()
-        self.text_bytes = 0
-
-    def get(self, key):
-        row = self.rows.get(key)
-        if row is not None:
-            self.rows.move_to_end(key)
-        return row
-
-    def put(self, key, row) -> None:
-        size = sys.getsizeof(row[1])
-        if size > MEMO_TEXT_BYTES:
-            return
-        self.rows[key] = row
-        self.text_bytes += size
-        while len(self.rows) > MEMO_ENTRIES or self.text_bytes > MEMO_TEXT_BYTES:
-            _, old = self.rows.popitem(last=False)
-            self.text_bytes -= sys.getsizeof(old[1])
-
-
 class ExtractTurns:
     """Batch extractor: ``ExtractTurns()(batch)`` over
-    ``batch_format="pyarrow"`` batches.
-
-    Holds the extractor registry and a payload memo (:class:`PayloadMemo`)
-    scoped to this instance: a repeated PDF or HTML payload returns
-    the row its first extraction produced, error rows included.
-    """
+    ``batch_format="pyarrow"`` batches."""
 
     def __init__(self) -> None:
         self.registry = dict(_EXTRACTORS)
         self.classify = classify_payload
-        self.memo = PayloadMemo()
 
     def extract_one(self, text: str, tool: str):
         """Total per-row kernel: never raises."""
         kind, payload = self.classify(text, tool)
-        if kind == "text":
-            return self._extract(kind, payload)
-        raw = payload.encode("utf-8", "surrogatepass") if isinstance(payload, str) else payload
-        key = (kind, blake2b(raw, digest_size=16).digest())
-        row = self.memo.get(key)
-        if row is None:
-            row = self._extract(kind, payload)
-            self.memo.put(key, row)
-        return row
-
-    def _extract(self, kind: str, payload):
         n_bytes = len(payload) if isinstance(payload, (bytes, bytearray)) else len(payload or "")
         try:
             extracted, spans, n_objects = self.registry[kind](payload)

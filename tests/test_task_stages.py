@@ -1,13 +1,7 @@
-"""Task stages and the extractor's payload memo.
+"""Task stages: the extraction and sketch stages run as plain Ray
+tasks with one stage instance per worker process per pipeline build."""
 
-The extraction and sketch stages run as plain Ray tasks with one stage
-instance per worker process per pipeline build; ``ExtractTurns``
-memoizes its PDF and HTML rows by payload digest for the life of one
-instance."""
-
-import base64
 import inspect
-import json
 import os
 import subprocess
 import sys
@@ -18,83 +12,6 @@ import pytest
 from test_pipeline import SF_DIR
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _pdf_envelope(pdf: bytes) -> str:
-    return json.dumps({"pdf_b64": base64.b64encode(pdf).decode("ascii")})
-
-
-def _payload_turns(copies: int) -> pa.Table:
-    """One PDF, one truncated PDF and one HTML page, each ``copies``
-    times, plus a plain-text turn."""
-    from pdf4py_ray.sources.transcripts import make_doc_html, make_doc_pdf
-
-    pdf = make_doc_pdf("memo test words on a page", "flate")
-    payloads = [_pdf_envelope(pdf), _pdf_envelope(pdf[:120]),
-                make_doc_html("memo test words in a page body", link_farm=False)]
-    texts = [p for p in payloads for _ in range(copies)] + ["plain words"]
-    n = len(texts)
-    return pa.table({
-        "conv_id": pa.array([f"c{i}" for i in range(n)]),
-        "turn_idx": pa.array(range(n), type=pa.int32()),
-        "text": pa.array(texts),
-        "tool": pa.array(["reader"] * n),
-    })
-
-
-def _counting(ex) -> dict:
-    calls = {}
-
-    def wrap(kind, fn):
-        def counted(payload):
-            calls[kind] = calls.get(kind, 0) + 1
-            return fn(payload)
-        return counted
-
-    ex.registry = {kind: wrap(kind, fn) for kind, fn in ex.registry.items()}
-    return calls
-
-
-def test_memo_parses_each_distinct_payload_once():
-    from pdf4py_ray.stages.extract import ExtractTurns
-
-    batch = _payload_turns(copies=2)
-    ex = ExtractTurns()
-    calls = _counting(ex)
-    out = ex(batch)
-    assert calls == {"pdf": 2, "html": 1, "text": 1}
-    assert out["status"].to_pylist()[:6] == ["ok", "ok", "error", "error", "ok", "ok"]
-
-    # the same rows as with no memo hit at all: one fresh instance per row
-    fresh = pa.concat_tables(ExtractTurns()(batch.slice(i, 1)) for i in range(len(batch)))
-    assert out.equals(fresh)
-
-    again = ExtractTurns()
-    assert len(again.memo.rows) == 0
-    calls = _counting(again)
-    again(batch)
-    assert calls == {"pdf": 2, "html": 1, "text": 1}
-
-
-def test_memo_is_bounded(monkeypatch):
-    from pdf4py_ray.stages import extract
-
-    memo = extract.PayloadMemo()
-    monkeypatch.setattr(extract, "MEMO_ENTRIES", 2)
-    for i in range(3):
-        memo.put(i, ("html", f"text {i}"))
-    assert list(memo.rows) == [1, 2]
-    memo.get(1)
-    memo.put(3, ("html", "text 3"))
-    assert list(memo.rows) == [1, 3]  # LRU: 2 was least recently used
-
-    monkeypatch.setattr(extract, "MEMO_TEXT_BYTES", 2 * sys.getsizeof("x" * 100))
-    memo.put(4, ("html", "x" * 100))
-    memo.put(5, ("html", "y" * 100))
-    assert list(memo.rows) == [4, 5]
-    assert memo.text_bytes == 2 * sys.getsizeof("x" * 100)
-    memo.put(6, ("html", "z" * 10_000))  # larger than the whole bound: not kept
-    assert list(memo.rows) == [4, 5]
 
 
 class _Stateful:
@@ -108,7 +25,7 @@ class _Stateful:
 def test_task_stage_one_instance_per_build(monkeypatch):
     from pdf4py_ray.functions import broadcast
 
-    monkeypatch.setattr(broadcast, "_instances", {})
+    monkeypatch.setattr(broadcast, "_instances", type(broadcast._instances)())
     first = broadcast.task_stage("probe", _Stateful, tag="a")
     second = broadcast.task_stage("probe", _Stateful, tag="a")
     assert first.__name__ == "probe"
@@ -116,7 +33,60 @@ def test_task_stage_one_instance_per_build(monkeypatch):
     assert a1 is a2 and a1.tag == "a"
     b = second(None)
     assert b is not a1
-    assert first(None) is not a1  # the slot moved on to the newer build
+    # builds running side by side keep their own instances
+    assert first(None) is a1 and second(None) is b
+    for _ in range(broadcast._STAGE_SLOTS):
+        broadcast.task_stage("probe", _Stateful)(None)
+    assert len(broadcast._instances) == broadcast._STAGE_SLOTS
+    assert first(None) is not a1  # evicted by newer builds, rebuilt
+
+
+def _probe_tags() -> tuple:
+    """(worker pids, (pid, instance tag) pairs) of one 16-task probe run."""
+    import uuid
+
+    import ray.data as rd
+
+    from pdf4py_ray.functions.broadcast import task_stage
+
+    class Probe:
+        def __init__(self):
+            self.tag = uuid.uuid4().hex
+
+        def __call__(self, batch):
+            n = batch.num_rows
+            return pa.table({"pid": [os.getpid()] * n, "tag": [self.tag] * n})
+
+    rows = rd.range(64, override_num_blocks=16).map_batches(
+        task_stage("probe", Probe), batch_format="pyarrow", batch_size=2).take_all()
+    assert len(rows) == 64
+    return {r["pid"] for r in rows}, {(r["pid"], r["tag"]) for r in rows}
+
+
+def test_task_stage_reuses_one_instance_per_worker(ray_session):
+    """Shipped by reference, each worker process builds the stage once
+    per build across many tasks. Shipped by value (as ``__ray_entry__``
+    registers the package), each task builds its own."""
+    from ray import cloudpickle
+
+    from pdf4py_ray.functions import broadcast
+
+    # an earlier import of __ray_entry__ in this session registered the package
+    registered = [sys.modules[name] for name in cloudpickle.list_registry_pickle_by_value()
+                  if name.split(".")[0] == "pdf4py_ray"]
+    for module in registered:
+        cloudpickle.unregister_pickle_by_value(module)
+    try:
+        for _ in range(2):
+            pids, tags = _probe_tags()
+            assert len(tags) == len(pids)
+        cloudpickle.register_pickle_by_value(broadcast)
+        pids, tags = _probe_tags()
+        assert len(tags) == 16
+        cloudpickle.unregister_pickle_by_value(broadcast)
+    finally:
+        for module in registered:
+            cloudpickle.register_pickle_by_value(module)
 
 
 def _map_ops(ds) -> list:
