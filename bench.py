@@ -95,7 +95,8 @@ def bench_extract() -> tuple:
     # per-partition order, no terminal sort, count only); 1 → the gate
     # shape: range-tagged ordered WRITE + per-bucket compaction
     # (stable_sorted_write — external sort, no object-store
-    # all-to-all); "full" → Ray's built-in sort operator
+    # all-to-all); "full" → Ray's built-in sort operator on the
+    # unordered extraction
     sort_env = os.environ.get("BENCH_SORT", "1")
     if sort_env == "1":
         import shutil
@@ -123,15 +124,18 @@ def bench_extract() -> tuple:
         shutil.rmtree(out_dir, ignore_errors=True)
         return dt, n_turns
 
-    sort = False if sort_env == "0" else "full"
+    from pdf4py_ray.pipelines.extract_pipeline import SORT_KEYS
+
     t0 = time.perf_counter()
     ds = extraction_from_parquet(
         turns_dir,
         num_partitions=max(32, NUM_CPUS * 2),
         concurrency=pool,
         batch_size=None,
-        sort=sort,
+        sort=False,
     )
+    if sort_env != "0":
+        ds = ds.sort(SORT_KEYS)
     n_turns = ds.count()
     dt = time.perf_counter() - t0
     return dt, n_turns

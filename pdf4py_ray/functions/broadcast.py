@@ -7,7 +7,7 @@ inside a ``map_batches`` closure, which at a 2M-row broadcast guard
 is seconds of pure deserialization per task. Pure-numeric numpy
 arrays are the exception (plasma zero-copy views), and stages that
 can express their broadcast as ``(sorted int64 keys, value array)``
-pairs should do so and gather with ``np.searchsorted``.
+pairs should do so and gather with :func:`sorted_lookup`.
 
 For the payloads that genuinely hold Python strings (join frames,
 text lookups), :func:`cached_get` memoizes the deserialized value
@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import uuid
 from collections import OrderedDict
+
+import numpy as np
 
 # Bounded per-process memo: workers are reused across stages, so an
 # unbounded cache would pin every broadcast a long-lived worker ever
@@ -57,6 +59,18 @@ def cached_get(ref):
     else:
         _cache.move_to_end(key)
     return val
+
+
+def sorted_lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> tuple:
+    """``(values[pos], hit)`` for each query key: ``pos`` is its
+    ``searchsorted`` position in ascending ``keys`` and ``hit`` marks
+    the queries present in ``keys``. A missed query gathers a
+    neighbouring entry, so callers must apply ``hit`` (an inner join
+    drops the row; a left join keeps its default)."""
+    if not len(keys):
+        return np.zeros(len(query), dtype=values.dtype), np.zeros(len(query), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return values[pos], keys[pos] == query
 
 
 # Stage instances of recent pipeline builds in this worker process,

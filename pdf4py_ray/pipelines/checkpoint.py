@@ -97,8 +97,8 @@ def verify_resume_params(out_dir: str, done: set, params: dict) -> None:
     """Refuse to resume when the partitioning parameters differ from
     the original run's (recorded in manifest lineage): completed
     ``part_id`` values are filtered from the *input*, so a different
-    ``num_partitions``/``salt_turns``/``repeat`` would skip the wrong
-    row subsets."""
+    ``num_partitions``/``salt_turns`` would skip the wrong row
+    subsets."""
     probe = read_manifest(out_dir, sorted(done)[0])
     recorded = (probe or {}).get("lineage", {}).get("params")
     if recorded != params:

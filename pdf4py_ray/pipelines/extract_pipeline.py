@@ -2,12 +2,22 @@
 
 Lifecycle (SURVEY §3.4):
 
-    read/synthesize turns                       # stateless, column-pruned
-      → add part_id (hash(conv_id) % P, salted) # task map_batches
-      → ExtractTurns                            # task map_batches, pyarrow batches;
-                                                # one extractor per worker per build
-      → sort(conv_id, turn_idx)                 # stable order for the equality gate
-      → write_parquet(partition_cols=[part_id]) # + per-partition manifests
+    read turns (Parquet scan, or synthesized)     # stateless, column-pruned
+      → add part_id (hash(conv_id) % P, salted)   # task map_batches
+      → ExtractTurns                              # task map_batches, pyarrow batches;
+                                                  # one extractor per worker per build
+      → then ONE of three terminals:
+        · range_sorted    # tag sort_bucket, one bucket shuffle, per-bucket
+                          # sort: consumed in order (the equality gate)
+        · stable_sorted_write  # tag sort_bucket, hive write per bucket, one
+                               # compaction task per bucket: ordered output
+        · write_parquet(partition_cols=[part_id])  # resumable, with
+                               # per-partition manifests (synthesized input)
+
+Both ordered terminals tag rows with the same :func:`tag_sort_bucket`
+over split points from :func:`quantile_splits`, so bucket ``b`` holds
+exactly the ``conv_id`` values between split ``b-1`` and split ``b``
+and bucket order is global ``(conv_id, turn_idx)`` order.
 
 Every stage is a task stage: Ray starts task workers once per
 ``ray.init`` and reuses them, so an execution pays no actor start and
@@ -21,6 +31,9 @@ import functools
 import os
 from typing import Optional
 
+import numpy as np
+import pyarrow as pa
+
 from ..functions.broadcast import task_stage
 from ..sources.transcripts import synth_transcripts
 from ..stages.extract import ExtractTurns
@@ -30,6 +43,9 @@ from . import checkpoint
 __PIPELINE_VERSION__ = "r1.0"
 
 SORT_KEYS = ["conv_id", "turn_idx"]
+
+# conv_id values read from the head of each sampled input file
+SPLIT_SAMPLE_ROWS = 8192
 
 
 def extraction_dataset(
@@ -45,26 +61,23 @@ def extraction_dataset(
     ``concurrency`` caps the extraction tasks running at once; ``None``
     leaves it to Ray Data. ``ExtractTurns`` and ``add_part_id`` are
     read from this module when the pipeline is built, and each build
-    gets its own extractor in each worker process."""
-    from ..config import apply_engine_defaults
+    gets its own extractor in each worker process. Rows whose
+    ``part_id`` is in ``skip_partitions`` are dropped before extraction.
 
-    apply_engine_defaults()
+    Ray Data copies its context when a dataset is created, so engine
+    defaults (``config.apply_engine_defaults``) must be applied by the
+    caller before it builds ``turns_ds``; the entry points do."""
     ds = turns_ds.map_batches(
         functools.partial(add_part_id, num_partitions=num_partitions, salt_turns=salt_turns),
         batch_format="pyarrow",
     )
     if skip_partitions:
-        skip = skip_partitions
+        import pyarrow.compute as pc
 
-        def drop_done(batch):
-            import numpy as np
-            import pyarrow.compute as pc
-            import pyarrow as pa
+        done = pa.array(sorted(skip_partitions), type=pa.int32())
 
-            mask = pa.array(
-                ~_np_isin(batch["part_id"].to_numpy(zero_copy_only=False), skip)
-            )
-            return batch.filter(mask)
+        def drop_done(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.invert(pc.is_in(batch["part_id"], value_set=done)))
 
         ds = ds.map_batches(drop_done, batch_format="pyarrow")
     return ds.map_batches(
@@ -73,13 +86,6 @@ def extraction_dataset(
         batch_size=batch_size,
         concurrency=concurrency,
     )
-
-
-def _np_isin(values, skip: set):
-    import numpy as np
-
-    arr = np.asarray(sorted(skip))
-    return np.isin(values, arr)
 
 
 def run_extraction(
@@ -91,17 +97,19 @@ def run_extraction(
     batch_size: int = 32,
     sort: bool = True,
     resume: bool = True,
-    repeat: int = 1,
 ):
     """Run the flagship pipeline over a scale-factor directory.
 
-    Returns the result Dataset when ``out_dir`` is None, else writes
-    partitioned parquet + manifests and returns the output path.
-    ``concurrency`` caps the extraction tasks (``None``: no cap).
+    With ``out_dir`` None, returns the result Dataset: range-sorted
+    (:func:`range_sorted`, split points from the documents table) when
+    ``sort``, unordered otherwise. Else writes parquet partitioned by
+    ``part_id`` plus per-partition manifests (resuming over completed
+    partitions when ``resume``) and returns the output path; ``sort``
+    does not apply to the write. ``concurrency`` caps the extraction
+    tasks (``None``: no cap).
     """
-    turns = synth_transcripts(sf_dir, repeat=repeat)
-    params = {"num_partitions": num_partitions, "salt_turns": salt_turns,
-              "repeat": repeat}
+    turns = synth_transcripts(sf_dir)
+    params = {"num_partitions": num_partitions, "salt_turns": salt_turns}
     skip = None
     if out_dir is not None:
         if resume:
@@ -123,45 +131,46 @@ def run_extraction(
         skip_partitions=skip,
     )
     if out_dir is None:
-        if not sort:
-            return ds
-        if sort == "full":
-            return ds.sort(SORT_KEYS)
-        # range sort: conv_id embeds the zero-padded doc_id, so split
-        # points come from the (tiny) documents id column
-        return range_sorted(ds, _split_points_from_docs(sf_dir))
+        return range_sorted(ds, _split_points_from_docs(sf_dir)) if sort else ds
 
     ds.write_parquet(out_dir, partition_cols=["part_id"])
     _write_manifests(sf_dir, out_dir, skip or set(), params)
     return out_dir
 
 
+def quantile_splits(sorted_keys, num_buckets: int) -> list:
+    """Range-sort split points: at most ``num_buckets - 1`` keys at
+    evenly spaced ranks of ``sorted_keys`` (ascending), strictly
+    increasing: duplicates collapse, so a hot key or all-equal keys
+    give fewer buckets, never an empty one between two equal splits.
+    With fewer keys than buckets, every distinct key but the smallest
+    starts a bucket."""
+    n = len(sorted_keys)
+    ranks = (np.arange(1, num_buckets) * n) // num_buckets
+    return sorted({sorted_keys[i] for i in ranks[ranks > 0]})
+
+
 def _split_points_from_docs(sf_dir: str, num_buckets: int = 64) -> list:
-    """conv_id range-split points for the synthesized corpus: quantiles
-    of the documents id column formatted with the synthesis naming
-    (``conv-{doc_id:08d}``, lexicographic order == numeric order;
-    ``-rNN`` repeat suffixes sort inside their base conversation)."""
-    import numpy as np
+    """conv_id split points for the synthesized corpus: quantiles of
+    the documents id column, formatted with the synthesis naming
+    (``conv-{doc_id:08d}``, whose lexicographic order is the numeric
+    order)."""
     import pyarrow.parquet as pq
 
     ids = pq.read_table(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
     )["doc_id"].to_numpy()
-    if len(ids) < num_buckets:
-        return sorted({f"conv-{int(i):08d}" for i in ids})[1:]
-    qs = np.quantile(ids, np.arange(1, num_buckets) / num_buckets)
-    return sorted({f"conv-{int(q):08d}" for q in qs})
+    return [f"conv-{int(i):08d}" for i in quantile_splits(np.sort(ids), num_buckets)]
 
 
-def sample_split_points(turns_dir: str, num_buckets: int = 64,
-                        per_file: int = 8192) -> list:
-    """Range-sort split points: sample ``conv_id`` from a spread of the
-    input parquet files (column-pruned, bounded rows per file) and take
-    ``num_buckets - 1`` quantiles. At 10^12 turns this reads a few row
-    groups of one string column — O(sample), never O(corpus)."""
+def sample_split_points(turns_dir: str, num_buckets: int = 64) -> list:
+    """Range-sort split points: sample ``conv_id`` from a spread of up
+    to 8 input parquet files (column-pruned, the first
+    ``SPLIT_SAMPLE_ROWS`` rows of each) and take the
+    :func:`quantile_splits` of the sample. At 10^12 turns this reads a
+    few row groups of one string column — O(sample), never O(corpus)."""
     import glob
 
-    import numpy as np
     import pyarrow.parquet as pq
 
     files = sorted(glob.glob(os.path.join(turns_dir, "*.parquet")))
@@ -171,70 +180,69 @@ def sample_split_points(turns_dir: str, num_buckets: int = 64,
     vals: list = []
     for f in files[::step][:8]:
         col = pq.read_table(f, columns=["conv_id"])["conv_id"]
-        vals.extend(col.slice(0, per_file).to_pylist())
+        vals.extend(col.slice(0, SPLIT_SAMPLE_ROWS).to_pylist())
     vals.sort()
-    if len(vals) < num_buckets:
-        return vals[1:]
-    idx = (np.arange(1, num_buckets) * len(vals)) // num_buckets
-    return sorted(set(vals[i] for i in idx))
+    return quantile_splits(vals, num_buckets)
 
 
-def range_sorted(ds, split_points: list, sort_keys=None, keep_bucket: bool = True):
+def tag_sort_bucket(batch: pa.Table, splits: np.ndarray) -> pa.Table:
+    """Append ``sort_bucket`` = ``searchsorted(splits, conv_id,
+    side="right")``: bucket ``b`` holds the keys in
+    ``[splits[b-1], splits[b])``. ``splits`` is the small unicode array
+    of ``num_buckets - 1`` split points, bound with
+    ``functools.partial`` so it ships with the task (no object-store
+    round trip) and the search runs at C speed."""
+    # one C-level Arrow→numpy conversion of the key column (object
+    # dtype), never a per-row to_pylist materialization
+    vals = batch[SORT_KEYS[0]].to_numpy(zero_copy_only=False)
+    bucket = np.searchsorted(splits, vals, side="right").astype(np.int64)
+    return batch.append_column("sort_bucket", pa.array(bucket, type=pa.int64()))
+
+
+def _tagged(ds, split_points: list):
+    return ds.map_batches(
+        functools.partial(tag_sort_bucket, splits=np.array(split_points)),
+        batch_format="pyarrow",
+    )
+
+
+def range_sorted(ds, split_points: list):
     """Stable global sort as ONE coarse bucket shuffle instead of Ray's
     sample→map→reduce sort operator (whose fixed all-to-all cost does
     not amortize at bench size — gate-shape scaling was 0.59 with it).
 
-    Rows are range-tagged by ``searchsorted(split_points, conv_id)``;
-    a single int64-key ``groupby`` co-locates each range; the
-    per-bucket sort is one vectorized pandas ``sort_values``. Bucket
-    ``b`` holds exactly the keys between split ``b-1`` and ``b``, so
-    consuming (or writing) buckets in ascending order IS the stable
-    global (conv_id, turn_idx) order — the ordered-write path
-    partitions output by ``sort_bucket``."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import ray
-
-    keys = sort_keys or SORT_KEYS
-    splits_ref = ray.put(np.array(split_points))  # unicode dtype: C-speed searchsorted
-
-    def tag(batch: pa.Table) -> pa.Table:
-        sp = ray.get(splits_ref)
-        # one C-level Arrow→numpy conversion of the key column (object
-        # dtype) — never a per-row to_pylist materialization
-        vals = batch[keys[0]].to_numpy(zero_copy_only=False)
-        bucket = np.searchsorted(sp, vals, side="right").astype(np.int64)
-        return batch.append_column("sort_bucket", pa.array(bucket, type=pa.int64()))
-
-    def sort_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        out = group.sort_values(keys, kind="mergesort")
-        return out if keep_bucket else out.drop(columns=["sort_bucket"])
-
+    Rows are tagged by :func:`tag_sort_bucket`; a single int64-key
+    ``groupby`` co-locates each range; the per-bucket sort is one
+    vectorized Arrow sort (:func:`_sort_table`), which keeps every
+    column's Arrow type (``spans`` included). Consuming buckets in
+    ascending order IS the stable global (conv_id, turn_idx) order;
+    the output keeps the ``sort_bucket`` column."""
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
+        _tagged(ds, split_points)
         .groupby("sort_bucket")
-        .map_groups(sort_bucket, batch_format="pandas")
+        .map_groups(_sort_table, batch_format="pyarrow")
     )
 
 
-def stable_sorted_write(ds, out_dir: str, split_points: list,
-                        sort_keys=None) -> int:
+def _sort_table(t: pa.Table) -> pa.Table:
+    return t.sort_by([(k, "ascending") for k in SORT_KEYS])
+
+
+def stable_sorted_write(ds, out_dir: str, split_points: list) -> int:
     """Stable global sort as an EXTERNAL sort with no object-store
     all-to-all — the ordered-write gate/production shape.
 
-    Stage 1 (streaming, no shuffle): rows are range-tagged by
-    ``searchsorted(split_points, conv_id)`` and written with
+    Stage 1 (streaming, no shuffle): rows are tagged by
+    :func:`tag_sort_bucket` and written with
     ``write_parquet(partition_cols=["sort_bucket"])`` — every task
     appends its own fragment files under each bucket's hive directory,
     so the data movement is task→storage, never task→task.
 
     Stage 2 (embarrassingly parallel): one Ray task per bucket reads
-    its fragments (bucket ≈ corpus/B rows), sorts in memory with one
-    vectorized ``Table.sort_by``, writes a single ``sorted.parquet``
-    and removes the fragments. Bucket ``b`` holds exactly the keys
-    between split ``b-1`` and ``b``, so reading ``sort_bucket=0..B``
-    in order IS the stable global (conv_id, turn_idx) order.
+    its fragments (bucket ≈ corpus/B rows), sorts in memory with the
+    same :func:`_sort_table`, writes a single ``sorted.parquet``
+    and removes the fragments. Reading ``sort_bucket=0..B`` in order
+    IS the stable global (conv_id, turn_idx) order.
 
     Both stages scale linearly with nodes (storage-bandwidth bound,
     not interconnect-barrier bound). All filesystem access goes
@@ -244,29 +252,16 @@ def stable_sorted_write(ds, out_dir: str, split_points: list,
     filesystem ``move`` (atomic on local FS, copy+delete where the
     store lacks rename) rather than POSIX ``glob``/``os.replace``.
     Returns the total row count."""
-    import numpy as np
-    import pyarrow as pa
     import ray
+    from pyarrow import fs as pafs
 
     filesystem, out_path = _resolve_fs(out_dir)
-    keys = sort_keys or SORT_KEYS
-    splits_arr = np.array(split_points)
-    splits_ref = ray.put(splits_arr)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        sp = ray.get(splits_ref)
-        vals = batch[keys[0]].to_numpy(zero_copy_only=False)
-        bucket = np.searchsorted(sp, vals, side="right").astype(np.int64)
-        return batch.append_column("sort_bucket", pa.array(bucket, type=pa.int64()))
-
-    ds.map_batches(tag, batch_format="pyarrow").write_parquet(
+    _tagged(ds, split_points).write_parquet(
         out_path, filesystem=filesystem, partition_cols=["sort_bucket"]
     )
 
     @ray.remote(num_cpus=1)
     def compact(bucket_dir: str) -> int:
-        from pyarrow import fs as pafs
-
         import pyarrow.parquet as pqmod
 
         infos = filesystem.get_file_info(pafs.FileSelector(bucket_dir))
@@ -277,16 +272,14 @@ def stable_sorted_write(ds, out_dir: str, split_points: list,
         )
         if not frags:
             return 0
-        t = pa.concat_tables(pqmod.read_table(f, filesystem=filesystem) for f in frags)
-        t = t.sort_by([(k, "ascending") for k in keys])
+        t = _sort_table(pa.concat_tables(
+            pqmod.read_table(f, filesystem=filesystem) for f in frags))
         tmp = f"{bucket_dir}/sorted.parquet.tmp"
         pqmod.write_table(t, tmp, filesystem=filesystem)
         filesystem.move(tmp, f"{bucket_dir}/sorted.parquet")
         for f in frags:
             filesystem.delete_file(f)
         return t.num_rows
-
-    from pyarrow import fs as pafs
 
     bucket_dirs = sorted(
         fi.path for fi in filesystem.get_file_info(pafs.FileSelector(out_path))
@@ -343,15 +336,18 @@ def extraction_from_parquet(
     sort. This is what runs against the real 10^12-turn table.
     ``concurrency`` caps the extraction tasks (``None``: no cap).
 
-    ``sort``: ``"range"`` (the default gate shape) applies
-    :func:`range_sorted` — split points sampled from the input, one
-    bucket shuffle, per-bucket vectorized sort, output stably ordered
-    when consumed bucket-ascending; ``"full"`` uses Ray's built-in
-    sort operator; falsy skips sorting (production shape)."""
+    ``sort`` (the default gate shape) applies :func:`range_sorted` —
+    split points sampled from the input, one bucket shuffle,
+    per-bucket vectorized sort, output stably ordered when consumed
+    bucket-ascending; ``sort=False`` returns the unordered extraction
+    (production shape; :func:`stable_sorted_write` orders it on
+    write)."""
     import ray.data as rd
 
     from ..config import apply_engine_defaults
 
+    # before the read: the read copies Ray Data's context, and every
+    # stage after it inherits that copy
     apply_engine_defaults()
     turns = rd.read_parquet(
         turns_dir, columns=["conv_id", "turn_idx", "text", "tool"]
@@ -365,8 +361,6 @@ def extraction_from_parquet(
     )
     if not sort:
         return ds
-    if sort == "full":
-        return ds.sort(SORT_KEYS)
     splits = sample_split_points(turns_dir, num_buckets=max(64, num_partitions))
     return range_sorted(ds, splits)
 

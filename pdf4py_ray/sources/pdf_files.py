@@ -8,7 +8,10 @@ pipeline as transcript-embedded payloads. Built on
 ``ray.data.read_binary_files`` (streaming, one block per file group,
 no driver-side file loop); each file becomes a single-turn
 conversation whose payload is the standard base64 PDF envelope, so
-``ExtractTurns`` needs no special casing.
+``ExtractTurns`` needs no special casing. Its ``conv_id`` is ``file-``
+plus the file's path below the corpus root without the extension
+(``a.pdf`` → ``file-a``, ``sub/a.pdf`` → ``file-sub/a``), so
+same-named files in different directories stay distinct.
 
 The streaming variant ships only paths and runs ``ExtractPdfFromPath``
 as a task stage: each worker process builds one extractor per pipeline
@@ -18,6 +21,7 @@ build and mmaps the files it is given.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import os
 from datetime import datetime
@@ -29,17 +33,32 @@ import pyarrow as pa
 _EPOCH = datetime(2026, 1, 1)
 
 
-def pdf_files_to_turns(batch: pa.Table) -> pa.Table:
-    """(bytes, path) rows → transcript-turn rows."""
+def pdf_conv_id(path: str, root: str) -> str:
+    """``file-`` + ``path`` relative to the corpus ``root``, without its
+    extension and with ``/`` separators."""
+    rel = os.path.splitext(os.path.relpath(path, root))[0]
+    return "file-" + rel.replace(os.sep, "/")
+
+
+def _corpus_root(path: str) -> str:
+    """The directory conv_ids are relative to, in the form Ray Data
+    reports file paths (URI scheme stripped); a single ``.pdf`` path
+    is relative to its directory."""
+    root = path.split("://", 1)[-1]
+    return os.path.dirname(root) if root.lower().endswith(".pdf") else root
+
+
+def pdf_files_to_turns(batch: pa.Table, root: str) -> pa.Table:
+    """(bytes, path) rows of the corpus under ``root`` → transcript-turn
+    rows."""
     from .transcripts import TURN_SCHEMA
 
     rows = []
     for data, path in zip(batch["bytes"].to_pylist(), batch["path"].to_pylist()):
-        stem = os.path.splitext(os.path.basename(path))[0]
         envelope = json.dumps({"pdf_b64": base64.b64encode(data).decode("ascii")})
         rows.append(
             {
-                "conv_id": f"file-{stem}",
+                "conv_id": pdf_conv_id(path, root),
                 "turn_idx": 0,
                 "role": "tool",
                 "text": envelope,
@@ -55,10 +74,16 @@ def read_pdf_corpus(path: str):
     ``path`` (recursive)."""
     import ray.data as rd
 
+    from ..config import apply_engine_defaults
+
+    apply_engine_defaults()
     files = rd.read_binary_files(
         path, include_paths=True, file_extensions=["pdf"]
     )
-    return files.map_batches(pdf_files_to_turns, batch_format="pyarrow")
+    return files.map_batches(
+        functools.partial(pdf_files_to_turns, root=_corpus_root(path)),
+        batch_format="pyarrow",
+    )
 
 
 def extract_pdf_corpus(path: str, **kwargs):
@@ -101,8 +126,8 @@ def list_pdf_paths(path: str, parallelism: int = 64):
 
 
 class ExtractPdfFromPath:
-    """Task stage: ``{path}`` rows → extracted-text rows with the
-    transcript pipeline's output schema.
+    """Task stage: ``{path}`` rows of the corpus under ``root`` →
+    extracted-text rows with the transcript pipeline's output schema.
 
     Unlike ``read_pdf_corpus`` (which ships each file's bytes through
     the object store inside an Arrow cell), each worker binds the
@@ -115,10 +140,11 @@ class ExtractPdfFromPath:
     yields a ``status="error"`` row, and the mmap/fd are released per
     file (``PdfDocument.close``) so long corpus scans don't leak fds."""
 
-    def __init__(self) -> None:
+    def __init__(self, root: str) -> None:
         from ..kernel.document import PdfDocument
         from ..kernel.text import extract_document_text
 
+        self._root = root
         self._open = PdfDocument.from_file
         self._extract = extract_document_text
 
@@ -147,7 +173,7 @@ class ExtractPdfFromPath:
             rows.append(("pdf", text, spans, n_objects, n_bytes, status, error))
         n = len(paths)
         keys = pa.table(
-            [[f"file-{os.path.splitext(os.path.basename(p))[0]}" for p in paths],
+            [[pdf_conv_id(p, self._root) for p in paths],
              np.zeros(n, dtype=np.int32), ["tool"] * n, ["pdf_reader"] * n, [_EPOCH] * n],
             schema=pa.schema([TURN_SCHEMA.field(c) for c in
                               ("conv_id", "turn_idx", "role", "tool", "ts")]),
@@ -168,7 +194,7 @@ def extract_pdf_corpus_streaming(path: str, concurrency: Optional[int] = None,
 
     apply_engine_defaults()
     ds = list_pdf_paths(path, parallelism=parallelism).map_batches(
-        task_stage("extract_pdf_from_path", ExtractPdfFromPath),
+        task_stage("extract_pdf_from_path", ExtractPdfFromPath, _corpus_root(path)),
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,

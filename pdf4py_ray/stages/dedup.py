@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.broadcast import task_stage
+from ..functions.broadcast import sorted_lookup, task_stage
 from ..functions.hashing import (
     band_hashes,
     md5_lower64,
@@ -1001,17 +1001,12 @@ def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
         l_node = lut["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         l_label = lut["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(l_node, kind="mergesort")
-        ln, ll = l_node[order], l_label[order]
         # label(u) ← label(label(u)): every label value is itself a
         # node, so the lookup always hits (mask defensive only)
-        if len(ln):
-            idx = np.minimum(np.searchsorted(ln, a_label), len(ln) - 1)
-            valid = ln[idx] == a_label
-        else:
-            idx = valid = np.zeros(len(a_label), dtype=bool)
+        jumped, valid = sorted_lookup(l_node[order], l_label[order], a_label)
         return pa.table({
             "node": pa.array(a_node[valid], type=pa.int64()),
-            "label": pa.array(ll[idx[valid]], type=pa.int64()),
+            "label": pa.array(jumped[valid], type=pa.int64()),
         })
 
     prev_sum = None
@@ -1037,6 +1032,23 @@ def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
         prev_sum = total
     raise RuntimeError(
         f"label propagation did not converge in {max_rounds} rounds"
+    )
+
+
+def _attach_labels(batch: pa.Table, id_col: str, nodes: np.ndarray,
+                   labels: np.ndarray) -> pa.Table:
+    """(id, cluster_id, is_representative) for a batch of documents,
+    given the component label of each node as sorted int64
+    ``(nodes, labels)`` arrays; an unlabeled (never-paired) document is
+    its own cluster. int64 numpy throughout: a pandas left-merge +
+    fillna would round-trip the labels through float64 (lossy ≥ 2^53)."""
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    label, hit = sorted_lookup(nodes, labels, ids)
+    cluster = np.where(hit, label, ids)
+    out = batch.select([id_col])
+    out = out.append_column("cluster_id", pa.array(cluster, type=pa.int64()))
+    return out.append_column(
+        "is_representative", pa.array(cluster == ids, type=pa.bool_())
     )
 
 
@@ -1070,27 +1082,14 @@ def _assign_labels_distributed(docs_ds, labels_ds, id_col: str,
     ).union(labels_ds.map_batches(tag_labels, batch_format="pyarrow"))
 
     def assign(group: pa.Table) -> pa.Table:
-        # int64 numpy throughout: a pandas left-merge + fillna would
-        # round-trip the label column through float64 (lossy ≥ 2^53)
         import pyarrow.compute as pc
 
         docs = group.filter(pc.equal(group["side"], 0))
         lab = group.filter(pc.equal(group["side"], 1))
-        d_ids = docs[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         l_ids = lab[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         l_lab = lab["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(l_ids, kind="mergesort")
-        ln, ll = l_ids[order], l_lab[order]
-        cluster = d_ids.copy()  # unlabeled (never-paired) docs → own id
-        if len(ln):
-            idx = np.minimum(np.searchsorted(ln, d_ids), len(ln) - 1)
-            hit = ln[idx] == d_ids
-            cluster[hit] = ll[idx[hit]]
-        return pa.table({
-            id_col: pa.array(d_ids, type=pa.int64()),
-            "cluster_id": pa.array(cluster, type=pa.int64()),
-            "is_representative": pa.array(cluster == d_ids, type=pa.bool_()),
-        })
+        return _attach_labels(docs, id_col, l_ids[order], l_lab[order])
 
     return tagged.groupby("bucket").map_groups(assign, batch_format="pyarrow")
 
@@ -1141,20 +1140,15 @@ def dedup_clusters(docs_ds, pairs_ds, id_col: str = "doc_id",
                 if rb < ra:
                     ra, rb = rb, ra
                 parent[rb] = ra  # smaller id wins → cluster_id = component min
-    labels = {x: find(x) for x in list(parent)}
-    ref = ray.put(labels)
+    # sorted int64 (node, label) arrays: ``ray.get`` per batch is a
+    # plasma zero-copy view, where a dict would be unpickled again by
+    # every batch
+    nodes = np.array(sorted(parent), dtype=np.int64)
+    labels = np.array([find(int(x)) for x in nodes], dtype=np.int64)
+    ref = ray.put((nodes, labels))
 
     def assign(batch: pa.Table) -> pa.Table:
-        lab = ray.get(ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        cluster = np.fromiter((lab.get(int(i), int(i)) for i in ids),
-                              dtype=np.int64, count=len(ids))
-        out = batch.select([id_col])
-        out = out.append_column("cluster_id", pa.array(cluster, type=pa.int64()))
-        out = out.append_column(
-            "is_representative", pa.array(cluster == ids, type=pa.bool_())
-        )
-        return out
+        return _attach_labels(batch, id_col, *ray.get(ref))
 
     return docs_ds.map_batches(assign, batch_format="pyarrow")
 

@@ -20,6 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.broadcast import sorted_lookup
 from ..sources.transcripts import read_table
 
 
@@ -558,10 +559,10 @@ def customers_per_region(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIMIT
 
         def tag(batch: pd.DataFrame) -> pd.DataFrame:
             keys, code_arr = ray.get(ref)  # zero-copy numpy views
-            nk = batch["c_nationkey"].to_numpy(dtype=np.int64)
-            # every c_nationkey exists in nation (FK); the clip is defensive
-            idx = np.minimum(np.searchsorted(keys, nk), len(keys) - 1)
-            cnt = np.bincount(code_arr[idx], minlength=len(names))
+            code, hit = sorted_lookup(keys, code_arr,
+                                      batch["c_nationkey"].to_numpy(dtype=np.int64))
+            # inner-join semantics: a c_nationkey missing from nation drops
+            cnt = np.bincount(code[hit], minlength=len(names))
             nz = np.nonzero(cnt)[0]
             return pd.DataFrame({"r_name": [names[i] for i in nz],
                                  "n_customers": cnt[nz].astype("int64")})
@@ -743,13 +744,14 @@ def local_supplier_revenue(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIM
         def fused(batch: pd.DataFrame) -> pd.DataFrame:
             ck_, cn_, sk_, sn_, nk_ = ray.get(ref)  # zero-copy views
             names = cached_get(names_ref)
-            c_nat = cn_[np.minimum(
-                np.searchsorted(ck_, batch["o_custkey"].to_numpy(dtype=np.int64)),
-                len(ck_) - 1)]
-            s_nat = sn_[np.minimum(
-                np.searchsorted(sk_, batch["l_suppkey"].to_numpy(dtype=np.int64)),
-                len(sk_) - 1)]
-            hit = c_nat == s_nat
+            c_nat, c_hit = sorted_lookup(
+                ck_, cn_, batch["o_custkey"].to_numpy(dtype=np.int64))
+            s_nat, s_hit = sorted_lookup(
+                sk_, sn_, batch["l_suppkey"].to_numpy(dtype=np.int64))
+            code, n_hit = sorted_lookup(nk_, np.arange(len(nk_)), s_nat)
+            # inner-join semantics: a key missing from a dimension drops
+            # the row instead of borrowing its neighbour's nation
+            hit = c_hit & s_hit & n_hit & (c_nat == s_nat)
             if not hit.any():
                 return pd.DataFrame({"n_name": pd.Series(dtype="object"),
                                      "revenue_cents": pd.Series(dtype="int64")})
@@ -757,10 +759,9 @@ def local_supplier_revenue(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIM
                 batch["l_extendedprice"].to_numpy()[hit]
                 * (1.0 - batch["l_discount"].to_numpy()[hit]) * 100.0 + 0.5
             ).astype(np.int64)
-            code = np.minimum(np.searchsorted(nk_, s_nat[hit]), len(nk_) - 1)
             # per-batch sums stay < 2^53 (≤65536 rows × ~1e7 cents), so
             # the float64 bincount accumulator is exact
-            total = np.bincount(code, weights=rev, minlength=len(nk_))
+            total = np.bincount(code[hit], weights=rev, minlength=len(nk_))
             nz = np.nonzero(total)[0]
             return pd.DataFrame({
                 "n_name": [names[i] for i in nz],

@@ -306,3 +306,47 @@ def test_stable_sorted_write_through_fs_uri(ray_session, tmp_path, turns_table):
             assert names == ["sorted.parquet"], names
         outs.append(list(zip(tbl["conv_id"].to_pylist(), tbl["turn_idx"].to_pylist())))
     assert outs[0] == outs[1]
+
+
+def test_run_extraction_range_sort_equals_full_sort(ray_session):
+    """The synthesized path's range sort, over split points from the
+    documents table, yields Ray's global sort row for row."""
+    from pdf4py_ray.pipelines.extract_pipeline import (
+        SORT_KEYS,
+        extraction_dataset,
+        run_extraction,
+    )
+    from pdf4py_ray.sources.transcripts import synth_transcripts
+
+    full = extraction_dataset(synth_transcripts(SF_DIR)).sort(SORT_KEYS)
+    cols = full.columns()
+    ranged = run_extraction(SF_DIR, out_dir=None).select_columns(cols).take_all()
+    assert ranged == full.select_columns(cols).take_all()
+
+
+@pytest.mark.parametrize("keys, num_buckets, want", [
+    ([f"c{i:03d}" for i in range(100)], 4, ["c025", "c050", "c075"]),
+    (["a", "b", "b", "c"], 64, ["b", "c"]),
+    (["k"] * 100, 8, ["k"]),
+    ([1, 1, 1, 2, 2, 9, 9, 9], 4, [1, 2, 9]),
+    ([], 8, []),
+    (["only"], 8, []),
+])
+def test_quantile_splits_strictly_increasing(keys, num_buckets, want):
+    from pdf4py_ray.pipelines.extract_pipeline import quantile_splits
+
+    splits = quantile_splits(keys, num_buckets)
+    assert splits == want
+    assert all(a < b for a, b in zip(splits, splits[1:]))
+
+
+def test_sample_split_points_small_sample_has_no_duplicates(tmp_path):
+    """Fewer sampled conv_ids than buckets: the split points are the
+    distinct ids after the smallest, each once."""
+    import pyarrow.parquet as pq
+
+    from pdf4py_ray.pipelines.extract_pipeline import sample_split_points
+
+    pq.write_table(pa.table({"conv_id": ["c", "a", "b", "b", "c"]}),
+                   str(tmp_path / "part-0.parquet"))
+    assert sample_split_points(str(tmp_path), num_buckets=64) == ["b", "c"]

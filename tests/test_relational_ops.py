@@ -426,3 +426,43 @@ def test_top_orders_end_to_end(ray_session):
            .limit(10).to_pandas())
     pd.testing.assert_frame_equal(got.reset_index(drop=True),
                                   exp.reset_index(drop=True))
+
+
+
+@pytest.fixture
+def dangling_sf(tmp_path):
+    """A tiny star schema whose foreign keys miss their dimension table
+    three times: customer 40's nation 7, order 102's customer 25 and one
+    lineitem's supplier 9. A neighbour lookup would map each onto the
+    next entry (nation 2, customer 30, supplier 3), whose nations match."""
+    import pyarrow.parquet as pq
+
+    tables = {
+        "region": {"r_regionkey": [0, 1], "r_name": ["EAST", "WEST"]},
+        "nation": {"n_nationkey": [0, 1, 2], "n_name": ["N0", "N1", "N2"],
+                   "n_regionkey": [0, 1, 1]},
+        "customer": {"c_custkey": [10, 20, 30, 40], "c_nationkey": [0, 1, 2, 7]},
+        "supplier": {"s_suppkey": [1, 2, 3], "s_nationkey": [0, 1, 2]},
+        "orders": {"o_orderkey": [100, 101, 102, 103], "o_custkey": [10, 20, 25, 30]},
+        "lineitem": {"l_orderkey": [100, 101, 102, 103, 103],
+                     "l_suppkey": [1, 2, 3, 3, 9],
+                     "l_extendedprice": [1000.0, 200.0, 300.0, 50.0, 70.0],
+                     "l_discount": [0.0, 0.1, 0.0, 0.0, 0.0]},
+    }
+    for name, cols in tables.items():
+        pq.write_table(pa.table(cols), tmp_path / f"{name}.parquet")
+    return str(tmp_path)
+
+
+def test_broadcast_lookups_drop_dangling_keys(ray_session, dangling_sf):
+    """A key missing from a broadcast dimension drops its row, as the
+    shuffle-join fallback's inner joins do; it never borrows the
+    neighbouring entry."""
+    from pdf4py_ray.stages import relational as R
+
+    for limit in (R.BROADCAST_ROW_LIMIT, 0):
+        got = R.customers_per_region(dangling_sf, broadcast_limit=limit).to_pandas()
+        assert dict(zip(got["r_name"], got["n_customers"])) == {"EAST": 1, "WEST": 2}, limit
+        got = R.local_supplier_revenue(dangling_sf, broadcast_limit=limit).to_pandas()
+        assert dict(zip(got["n_name"], got["revenue_cents"])) == {
+            "N0": 100000, "N1": 18000, "N2": 5000}, limit

@@ -69,3 +69,25 @@ def test_extract_pdf_corpus_streaming_error_totality(ray_session, tmp_path):
     assert rows["file-good"]["extracted_text"] == "fine"
     assert rows["file-bad"]["status"] == "error"
     assert rows["file-bad"]["error"]
+
+
+def test_nested_same_name_files_keep_distinct_conv_ids(ray_session, tmp_path):
+    """``a/x.pdf`` and ``b/x.pdf`` are two conversations in both
+    sources; a top-level file keeps its plain ``file-<stem>`` id."""
+    from pdf4py_ray.kernel import pdfgen
+    from pdf4py_ray.sources.pdf_files import (
+        extract_pdf_corpus,
+        extract_pdf_corpus_streaming,
+    )
+
+    for sub, text in (("a", "from a"), ("b", "from b")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.pdf").write_bytes(pdfgen.minimal_pdf((text,)))
+    (tmp_path / "top.pdf").write_bytes(pdfgen.minimal_pdf(("top level",)))
+    want = {"file-a/x": "from a", "file-b/x": "from b", "file-top": "top level"}
+
+    for ds in (extract_pdf_corpus(str(tmp_path), num_partitions=4, concurrency=2),
+               extract_pdf_corpus_streaming(str(tmp_path), concurrency=2)):
+        rows = ds.select_columns(["conv_id", "extracted_text"]).take_all()
+        assert len(rows) == 3
+        assert {r["conv_id"]: r["extracted_text"] for r in rows} == want
