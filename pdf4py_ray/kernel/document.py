@@ -177,7 +177,9 @@ class PdfDocument:
 
         sections_oldest_first: list = []
         trailer: dict = {}
+        visited: set = set()  # a /Prev or /XRefStm cycle must not loop forever
         while xrefpos >= 0:
+            self._visit_xref(visited, xrefpos)
             self.tok.seek(xrefpos)
             first = self.tok.next()
             if first == Keyword(b"xref"):
@@ -187,6 +189,7 @@ class PdfDocument:
                 if xrefstm_pos is not None:
                     # hybrid file: the classic table stays newer than
                     # its xref stream (reference fold order)
+                    self._visit_xref(visited, xrefstm_pos)
                     self.tok.seek(xrefstm_pos)
                     _, stm_section = self._parse_xref_stream()
                     sections_oldest_first.insert(0, stm_section)
@@ -199,6 +202,12 @@ class PdfDocument:
 
         self.xref = XrefIndex(list(reversed(sections_oldest_first)))
         return trailer
+
+    @staticmethod
+    def _visit_xref(visited: set, pos) -> None:
+        if pos in visited:
+            raise PdfSyntaxError(f"The xref chain revisits offset {pos}.")
+        visited.add(pos)
 
     _XREF_BLANKS = b"\x00\t\n\x0c\r "
 

@@ -365,6 +365,35 @@ def incremental_update_pdf() -> bytes:
     return bytes(buf)
 
 
+def _chained_section(prev: int) -> bytes:
+    """An appended classic xref section with no entries whose trailer
+    chains to the section at offset ``prev``."""
+    trailer = {"Size": 6, "Root": Ref(5, 0), "Prev": prev}
+    return b"xref\n0 1\n0000000000 65535 f \ntrailer\n" + serialize(trailer) + b"\n"
+
+
+def self_prev_pdf() -> bytes:
+    """Hostile: an appended xref section whose /Prev is its own offset."""
+    buf = bytearray(minimal_pdf(("Self prev",)))
+    pos = len(buf)
+    buf += _chained_section(pos)
+    buf += f"startxref\n{pos}\n%%EOF\n".encode()
+    return bytes(buf)
+
+
+def cyclic_prev_pdf() -> bytes:
+    """Hostile: two appended xref sections whose /Prev entries point at
+    each other; ``startxref`` names the second."""
+    buf = bytearray(minimal_pdf(("Cyclic prev",)))
+    first = second = len(buf)
+    # the first section's length depends on the digits of ``second``
+    while first + len(_chained_section(second)) != second:
+        second = first + len(_chained_section(second))
+    buf += _chained_section(second) + _chained_section(first)
+    buf += f"startxref\n{second}\n%%EOF\n".encode()
+    return bytes(buf)
+
+
 def hybrid_xrefstm_pdf() -> bytes:
     """Classic table whose trailer points at an /XRefStm stream; the
     page objects are only reachable through the stream's entries."""

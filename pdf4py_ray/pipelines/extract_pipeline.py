@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import ray
 
 from ..functions.broadcast import task_stage
 from ..sources.transcripts import synth_transcripts
@@ -252,49 +253,51 @@ def stable_sorted_write(ds, out_dir: str, split_points: list) -> int:
     filesystem ``move`` (atomic on local FS, copy+delete where the
     store lacks rename) rather than POSIX ``glob``/``os.replace``.
     Returns the total row count."""
-    import ray
     from pyarrow import fs as pafs
 
     filesystem, out_path = _resolve_fs(out_dir)
     _tagged(ds, split_points).write_parquet(
         out_path, filesystem=filesystem, partition_cols=["sort_bucket"]
     )
-
-    @ray.remote(num_cpus=1)
-    def compact(bucket_dir: str) -> int:
-        import pyarrow.parquet as pqmod
-
-        infos = filesystem.get_file_info(pafs.FileSelector(bucket_dir))
-        frags = sorted(
-            fi.path for fi in infos
-            if fi.type == pafs.FileType.File and fi.base_name.endswith(".parquet")
-            and not fi.base_name.startswith("sorted.parquet")
-        )
-        if not frags:
-            return 0
-        t = _sort_table(pa.concat_tables(
-            pqmod.read_table(f, filesystem=filesystem) for f in frags))
-        tmp = f"{bucket_dir}/sorted.parquet.tmp"
-        pqmod.write_table(t, tmp, filesystem=filesystem)
-        filesystem.move(tmp, f"{bucket_dir}/sorted.parquet")
-        for f in frags:
-            filesystem.delete_file(f)
-        return t.num_rows
-
     bucket_dirs = sorted(
         fi.path for fi in filesystem.get_file_info(pafs.FileSelector(out_path))
         if fi.type == pafs.FileType.Directory
         and fi.base_name.startswith("sort_bucket=")
     )
-    counts = ray.get([compact.remote(d) for d in bucket_dirs])
+    counts = ray.get([_compact_bucket.remote(filesystem, d) for d in bucket_dirs])
     return int(sum(counts))
+
+
+@ray.remote(num_cpus=1)
+def _compact_bucket(filesystem, bucket_dir: str) -> int:
+    """One bucket of :func:`stable_sorted_write`: its fragments sorted
+    into a single ``sorted.parquet`` (written to a temporary name, then
+    moved), fragments deleted. Returns the bucket's row count."""
+    import pyarrow.parquet as pq
+    from pyarrow import fs as pafs
+
+    infos = filesystem.get_file_info(pafs.FileSelector(bucket_dir))
+    frags = sorted(
+        fi.path for fi in infos
+        if fi.type == pafs.FileType.File and fi.base_name.endswith(".parquet")
+        and not fi.base_name.startswith("sorted.parquet")
+    )
+    if not frags:
+        return 0
+    t = _sort_table(pa.concat_tables(pq.read_table(f, filesystem=filesystem) for f in frags))
+    tmp = f"{bucket_dir}/sorted.parquet.tmp"
+    pq.write_table(t, tmp, filesystem=filesystem)
+    filesystem.move(tmp, f"{bucket_dir}/sorted.parquet")
+    for f in frags:
+        filesystem.delete_file(f)
+    return t.num_rows
 
 
 def _resolve_fs(path: str):
     """(pyarrow FileSystem, in-filesystem path) for a path or URI.
     Bare paths resolve to LocalFileSystem; ``file://``, ``s3://`` etc.
     go through ``FileSystem.from_uri``. The returned filesystem object
-    is picklable, so Ray tasks can capture it."""
+    is picklable, so it can be passed to Ray tasks."""
     from pyarrow import fs as pafs
 
     if "://" in path:

@@ -1,17 +1,22 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram
 Jaccard, embedding-cosine near-dup.
 
-Scale notes (the 100 TB design): every variant follows the
-pre-aggregate / bucket-shuffle pattern — per-batch vectorized sketches
-first, then a ``groupby`` over the *much smaller* sketch rows (never
-over raw text), candidate pairs verified from the signatures
-themselves (no second pass over the corpus). The embedding variant
-broadcasts the small normalized matrix via ``ray.put`` (one object,
-read per actor, never re-shipped per batch).
+Scale notes (the 100 TB design): per-batch vectorized sketches first,
+then work over the *much smaller* sketch rows (never over raw text),
+candidate pairs verified from the sketches themselves (no second pass
+over the corpus). Below a bound worked out from memory, MinHash LSH
+and verify run on the driver in numpy over the streamed sketch matrix,
+with no exchange (:func:`minhash_dup_pairs`). Above it, every variant
+follows the pre-aggregate / bucket-shuffle pattern: a ``groupby`` over
+coarse buckets of sketch rows. Broadcast payloads are numeric numpy
+arrays put in the object store once; each task reads them as a
+zero-copy view, never re-shipped per batch. The embedding variant is
+exact all-pairs by triangle block partitioning.
 """
 
 from __future__ import annotations
 
+import contextlib
 from hashlib import blake2b
 
 import numpy as np
@@ -74,10 +79,19 @@ NUM_PERM = 64
 NUM_BANDS = 16
 SHINGLE_WORDS = 3
 COARSE_BUCKETS = 64  # coarse co-location groups for bucket-pair stages
-# broadcast the signature matrix (8·NUM_PERM B/doc ≈ 1 GB at the
-# limit — one object in the store, zero-copy per reader) instead of
-# keyed-joining it to pairs while the corpus fits
+# While the corpus fits, the driver holds its (n, NUM_PERM) int64
+# signature matrix (8·NUM_PERM B/doc ≈ 1 GB at the limit) and runs LSH
+# and verify on it; above the limit, pairs keyed-join their signatures.
+# With the band hashes and the sorted (band key, doc) rows of candidate
+# generation, the driver's peak is about 1.3 KB/doc (≈ 2.6 GB at the
+# limit) plus the candidates below
 _SIG_BROADCAST_DOCS = 2_000_000
+# Raw candidate pairs the driver may generate within the matrix's own
+# byte budget: generation keeps at most four int64 arrays of candidate
+# length alive at once (32 B per candidate)
+_DRIVER_CANDIDATES = _SIG_BROADCAST_DOCS * NUM_PERM * 8 // 32
+# pairs per vectorized driver verify: 2 × 8 MB of gathered signatures
+_VERIFY_CHUNK = 1 << 14
 
 
 def _add_pair_bucket(batch: pd.DataFrame) -> pd.DataFrame:
@@ -143,58 +157,125 @@ class MinHashSignatures:
         )
 
 
-def minhash_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
-                      threshold: float = 0.8, concurrency: int | None = None,
-                      rows_hint: int | None = None, batch_size: int = 256):
-    """Near-duplicate pairs via MinHash-LSH.
+def _list_matrix(col, width: int) -> np.ndarray:
+    """``(rows, width)`` int64 matrix of a fixed-width list column: a
+    reshape of the flat value buffer, no per-row Python objects."""
+    return (col.combine_chunks().flatten().to_numpy(zero_copy_only=False)
+            .astype(np.int64).reshape(-1, width))
 
-    Shuffle-volume design: the 64-int64 signature is NOT duplicated
-    into every band row. One sketch row per doc (signature + 16 band
-    hashes) is materialized once in the object store; the band
-    exploding stage ships only (doc_id, band, band_hash) triples
-    (~20× lighter than band rows carrying signatures); candidate
-    pairs are deduplicated while still signature-free; and the Jaccard
-    estimate is one vectorized comparison per pair. Signatures attach
-    to pairs by BROADCASTING the signature matrix once while the
-    corpus fits ``_SIG_BROADCAST_DOCS`` (pairs stream through a single
-    map — no extra shuffle), else through two keyed bucket-shuffle
-    joins against the sketch table (2× sketch shuffle instead of 16×).
-    ``rows_hint`` (the known corpus row count, e.g. parquet metadata)
-    sizes the pre-groupby exchanges (see
-    :func:`~.relational.shuffle_coalesced`) and picks the attach path
-    without an extra count. ``concurrency`` caps the sketch tasks
-    running at once (``None``: no cap).
-    Returns (id_a, id_b, est_jaccard) with id_a < id_b, deduplicated.
-    """
-    sketches = ds.map_batches(
-        task_stage("minhash_signatures", MinHashSignatures,
-                   text_col=text_col, id_col=id_col),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        batch_size=batch_size,
-    ).materialize()  # sketch table: ~650 B/doc, consumed by two branches
 
-    def explode_bands(batch: pa.Table) -> pa.Table:
-        # (band, band_hash) packed into ONE int64 key: band_hash is a
-        # 63-bit blake2b digest, so mixing the band index in keeps the
-        # per-(band, bucket) equality semantics up to a ~2^-63 hash
-        # collision — and a colliding FALSE candidate is harmless, the
-        # signature verify filters it. One int64 key instead of
-        # (int32 band + int64 hash) cuts the band exchange ~30% and
-        # turns the fine groupby into a single-key self-merge.
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(ids)
-        # fixed NUM_BANDS entries per row by construction → the list
-        # column's flat value buffer is already in (doc, band) order
-        flat = (batch["band_hashes"].combine_chunks().flatten()
-                .to_numpy(zero_copy_only=False).astype(np.uint64))
-        band = np.tile(np.arange(NUM_BANDS, dtype=np.uint64), n)
-        with np.errstate(over="ignore"):
-            key = flat ^ (band * np.uint64(0x9E3779B97F4A7C15))
-        return pa.table({
-            id_col: pa.array(np.repeat(ids, NUM_BANDS), type=pa.int64()),
-            "band_key": pa.array(key.astype(np.int64), type=pa.int64()),
-        })
+def _band_keys(bands: np.ndarray) -> np.ndarray:
+    """``(n, NUM_BANDS)`` band hashes → int64 LSH keys, same shape.
+
+    (band, band_hash) is packed into ONE int64 key: band_hash is a
+    63-bit blake2b digest, so mixing the band index in keeps the
+    per-(band, bucket) equality semantics up to a ~2^-63 hash collision
+    — and a colliding FALSE candidate is harmless, the signature verify
+    filters it. One int64 key instead of (int32 band + int64 hash) cuts
+    the band exchange ~30% and makes candidate generation a
+    single-key self-merge."""
+    with np.errstate(over="ignore"):
+        mix = np.arange(bands.shape[1], dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        return (bands.astype(np.uint64) ^ mix).astype(np.int64)
+
+
+def lsh_candidates(ids: np.ndarray, band_keys: np.ndarray, limit: int):
+    """Driver-side LSH: the pairs of docs that share any band key.
+
+    ``ids`` are the (n,) doc ids and ``band_keys`` their (n, bands)
+    int64 keys (:func:`_band_keys`). The (key, doc) rows are lexsorted
+    once, a repeated (key, doc) row is dropped (an id listed twice is
+    one doc), and every pair within each run of equal keys is emitted —
+    the self-merge the distributed path runs per coarse bucket. The
+    candidate count Σ k(k−1)/2 over the run lengths k is known before
+    any pair is built: above ``limit`` the result is ``None``.
+
+    Returns ``(id_a, id_b, row_a, row_b)``: the deduplicated pairs
+    with ``id_a < id_b``, sorted, and for each side the first input
+    row holding that id."""
+    uniq, first, doc = np.unique(ids, return_index=True, return_inverse=True)
+    key = np.asarray(band_keys, dtype=np.int64).ravel()
+    doc = np.repeat(doc.ravel(), band_keys.shape[1])
+    order = np.lexsort((doc, key))
+    key, doc = key[order], doc[order]
+    fresh = np.ones(len(key), dtype=bool)
+    fresh[1:] = (key[1:] != key[:-1]) | (doc[1:] != doc[:-1])
+    key, doc = key[fresh], doc[fresh]
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    run = np.diff(np.r_[start, len(key)])
+    n_cand = int((run * (run - 1) // 2).sum())
+    if n_cand > limit:
+        return None
+    # row i pairs with each of the `after[i]` rows behind it in its run;
+    # in-place steps keep at most four candidate-length arrays alive
+    after = np.repeat(start + run, run) - np.arange(len(key)) - 1
+    a = np.repeat(np.arange(len(key)), after)
+    b = np.arange(n_cand)
+    b -= np.repeat(np.cumsum(after) - after, after)
+    b += a
+    b += 1
+    pair = doc[a]
+    pair *= len(uniq)
+    pair += doc[b]
+    del a, b
+    pair = np.unique(pair)  # one pair per doc pair, in (id_a, id_b) order
+    ra, rb = np.divmod(pair, len(uniq))
+    return uniq[ra], uniq[rb], first[ra], first[rb]
+
+
+def _estimate_table(batch: pa.Table, sa: np.ndarray, sb: np.ndarray,
+                    threshold: float) -> pa.Table:
+    """(pairs, per-side signature matrices) → filtered pair table.
+    One vectorized (n, NUM_PERM) comparison — never per-row Python."""
+    est = (sa == sb).mean(axis=1) if len(sa) else np.empty(0)
+    keep = est >= threshold
+    out = batch.select(["id_a", "id_b"]).filter(pa.array(keep))
+    return out.append_column("est_jaccard", pa.array(est[keep], type=pa.float64()))
+
+
+def _driver_verify(id_a, id_b, row_a, row_b, sigs: np.ndarray,
+                   threshold: float) -> pa.Table:
+    """Driver verify of candidate pairs against the held signature
+    matrix, ``_VERIFY_CHUNK`` pairs per vectorized comparison."""
+    pairs = pa.table({"id_a": pa.array(id_a, type=pa.int64()),
+                      "id_b": pa.array(id_b, type=pa.int64())})
+    parts = [_estimate_table(pairs.slice(i, _VERIFY_CHUNK),
+                             sigs[row_a[i : i + _VERIFY_CHUNK]],
+                             sigs[row_b[i : i + _VERIFY_CHUNK]], threshold)
+             for i in range(0, len(pairs), _VERIFY_CHUNK)]
+    return pa.concat_tables(parts) if parts else _estimate_table(
+        pairs, sigs[:0], sigs[:0], threshold)
+
+
+def _gather_sketches(sketches, id_col: str, limit: int):
+    """``(ids, (n, NUM_PERM) signatures, (n, NUM_BANDS) band hashes)``
+    streamed to the driver block by block as the sketch stage produces
+    them — or ``None`` as soon as more than ``limit`` rows have
+    arrived. Closing the batch generator on that early return shuts the
+    execution down; an abandoned one keeps running the stage."""
+    ids, sigs, bands, n = [], [], [], 0
+    with contextlib.closing(iter(sketches.iter_batches(batch_format="pyarrow",
+                                                      batch_size=None))) as batches:
+        for t in batches:
+            n += len(t)
+            if n > limit:
+                return None
+            if len(t):
+                ids.append(t[id_col].to_numpy(zero_copy_only=False).astype(np.int64))
+                sigs.append(_list_matrix(t["signature"], NUM_PERM))
+                bands.append(_list_matrix(t["band_hashes"], NUM_BANDS))
+    return (np.concatenate(ids or [np.empty(0, dtype=np.int64)]),
+            np.vstack(sigs or [np.empty((0, NUM_PERM), dtype=np.int64)]),
+            np.vstack(bands or [np.empty((0, NUM_BANDS), dtype=np.int64)]))
+
+
+def _shuffle_lsh(band_rows, id_col: str, n_docs: int):
+    """Distributed LSH over ``(id_col, band_key)`` rows: a coarse
+    bucket exchange co-locates equal keys, a pandas self-merge per
+    bucket emits (id_a < id_b) pairs, and a second exchange on the pair
+    drops the pairs found in several bands. Returns
+    (id_a, id_b, pair_bucket) rows."""
+    from .relational import shuffle_coalesced
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         # millions of band_key buckets would mean per-group task
@@ -216,97 +297,72 @@ def minhash_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     def dedup_pairs(group: pd.DataFrame) -> pd.DataFrame:
         return group.drop_duplicates(["id_a", "id_b"])
 
-    from .relational import shuffle_coalesced
-
-    band_rows = rows_hint * NUM_BANDS if rows_hint is not None else None
-    bands = shuffle_coalesced(
-        sketches.map_batches(explode_bands, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow"),
-        COARSE_BUCKETS, band_rows,
-    )
+    bands = shuffle_coalesced(band_rows.map_batches(add_bucket, batch_format="pyarrow"),
+                              COARSE_BUCKETS, n_docs * NUM_BANDS)
     raw_pairs = (
         bands.groupby("bucket")
         .map_groups(bucket_pairs, batch_format="pandas")
         .map_batches(_add_pair_bucket, batch_format="pandas")
     )
-    candidates = (
-        # Pair-exchange size hint: ``rows_hint`` (corpus rows) is the
-        # LSH-regime ESTIMATE, not an upper bound — raw candidates grow
-        # with Σ clique² and a dup-heavy corpus can exceed corpus rows
-        # by orders of magnitude (measured: 176M pairs from 320k docs
-        # of 4-copy cliques at repeat=320 band collisions). The hint
-        # only gates/sizes the barrier, so an undersized value costs
-        # exchange efficiency, never correctness.
-        shuffle_coalesced(raw_pairs, COARSE_BUCKETS, rows_hint)
+    # Pair-exchange size hint: corpus rows is the LSH-regime ESTIMATE,
+    # not an upper bound — raw candidates grow with Σ clique² and a
+    # dup-heavy corpus can exceed corpus rows by orders of magnitude
+    # (measured: 176M pairs from 320k docs of 4-copy cliques at
+    # repeat=320 band collisions). The hint only gates/sizes the
+    # barrier, so an undersized value costs exchange efficiency, never
+    # correctness.
+    return (
+        shuffle_coalesced(raw_pairs, COARSE_BUCKETS, n_docs)
         .groupby("pair_bucket")
         .map_groups(dedup_pairs, batch_format="pandas")
     )
 
-    def _estimate_table(batch: pa.Table, sa: np.ndarray, sb: np.ndarray) -> pa.Table:
-        """(pairs, per-side signature matrices) → filtered pair table.
-        One vectorized (n, NUM_PERM) comparison — never per-row Python."""
-        est = (sa == sb).mean(axis=1) if len(sa) else np.empty(0)
-        keep = est >= threshold
-        out = batch.select(["id_a", "id_b"]).filter(pa.array(keep))
-        return out.append_column(
-            "est_jaccard", pa.array(est[keep], type=pa.float64()))
 
-    def _sig_matrix(ds_sig, id_name: str, sig_name: str):
-        """Driver-side (sorted ids, row-permutation, (n, NUM_PERM)
-        matrix) from a signature Dataset — streamed whole blocks, flat
-        value-buffer reshape, no per-row Python objects. The matrix is
-        deliberately NOT reordered (a fancy-index gather of the full
-        matrix costs seconds of serial driver time at 10⁶ docs);
-        lookups go ``perm[searchsorted(ids_sorted, key)]`` instead."""
-        ids_parts, mat_parts = [], []
-        for t in ds_sig.iter_batches(batch_format="pyarrow", batch_size=None):
-            if not len(t):
-                continue
-            ids_parts.append(
-                t[id_name].to_numpy(zero_copy_only=False).astype(np.int64))
-            mat_parts.append(
-                t[sig_name].combine_chunks().flatten()
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-                .reshape(len(t), NUM_PERM))
-        if not ids_parts:
-            z = np.empty(0, dtype=np.int64)
-            return z, z, np.empty((0, NUM_PERM), dtype=np.int64)
-        ids = np.concatenate(ids_parts)
-        mat = np.vstack(mat_parts)
-        perm = np.argsort(ids, kind="mergesort")
-        return ids[perm], perm, mat
+def _broadcast_verify(candidates, ids: np.ndarray, sigs: np.ndarray, threshold: float):
+    """Verify candidate pairs as they stream out of the shuffle LSH:
+    the held (sorted ids, row order, signature matrix) triple is put in
+    the object store ONCE — ``ray.get`` per batch is a plasma zero-copy
+    view — and every pair batch gathers its two signature rows by
+    searchsorted: no pair collection, no extra shuffle (a keyed join
+    ships |pairs| × 1 KB of signatures through the object store and was
+    measured store-bandwidth-bound on a dup-heavy corpus). The matrix is
+    deliberately not reordered (a fancy gather of the full matrix costs
+    seconds of serial driver time at 10⁶ docs)."""
+    import ray
 
-    # Verification. The sketch table is the small side: when it is
-    # bounded (≤ _SIG_BROADCAST_DOCS ≈ 1 GB of matrix at the limit),
-    # the (sorted ids, n×NUM_PERM matrix) pair is broadcast ONCE via
-    # ray.put — ray.get per batch is a plasma zero-copy view — and
-    # every pair batch gathers its two signature rows by searchsorted.
-    # Pairs then stream straight from the LSH stage through one map:
-    # no pair collection, no extra shuffle (measured: the keyed-join
-    # variant ships |pairs| × 1 KB of signatures through the object
-    # store — 10+ GB at a 320k-doc dup-heavy corpus — and was
-    # store-bandwidth-bound). Beyond the limit (the 10^12-doc regime,
-    # where no node can hold the matrix), pairs pick up signatures
-    # through two keyed bucket-shuffle joins against the sketch table.
-    n_docs = rows_hint if rows_hint is not None else sketches.count()
-    if n_docs <= _SIG_BROADCAST_DOCS:
-        import ray
+    perm = np.argsort(ids, kind="mergesort")
+    sig_ref = ray.put((ids[perm], perm, sigs))
 
-        sig_ids, sig_perm, sig_mat = _sig_matrix(sketches, id_col, "signature")
-        sig_ref = ray.put((sig_ids, sig_perm, sig_mat))
+    def verify(batch: pa.Table) -> pa.Table:
+        sids, perm, smat = ray.get(sig_ref)  # zero-copy numpy views
+        a = batch["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = batch["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+        sa = smat[perm[np.searchsorted(sids, a)]] if len(a) else smat[:0]
+        sb = smat[perm[np.searchsorted(sids, b)]] if len(b) else smat[:0]
+        return _estimate_table(batch, sa, sb, threshold)
 
-        def verify(batch: pa.Table) -> pa.Table:
-            sids, perm, smat = ray.get(sig_ref)  # zero-copy numpy views
-            a = batch["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-            b = batch["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            sa = smat[perm[np.searchsorted(sids, a)]] if len(a) else smat[:0]
-            sb = smat[perm[np.searchsorted(sids, b)]] if len(b) else smat[:0]
-            return _estimate_table(batch, sa, sb)
+    return candidates.map_batches(verify, batch_format="pyarrow")
 
-        return candidates.map_batches(verify, batch_format="pyarrow")
 
+def _joined_pairs(sketches, id_col: str, threshold: float, n_docs: int):
+    """Above ``_SIG_BROADCAST_DOCS`` (the 10^12-doc regime, where no
+    node can hold the matrix): shuffle LSH over the exploded band rows,
+    then pairs pick up their signatures through two keyed bucket-shuffle
+    joins against the (materialized) sketch table — 2× sketch shuffle
+    instead of 16× band rows carrying signatures. Nothing is collected
+    to the driver."""
     from .relational import hash_join
 
+    def explode_bands(batch: pa.Table) -> pa.Table:
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        keys = _band_keys(_list_matrix(batch["band_hashes"], NUM_BANDS))
+        return pa.table({
+            id_col: pa.array(np.repeat(ids, NUM_BANDS), type=pa.int64()),
+            "band_key": pa.array(keys.ravel(), type=pa.int64()),
+        })
+
+    candidates = _shuffle_lsh(sketches.map_batches(explode_bands, batch_format="pyarrow"),
+                              id_col, n_docs)
     sig_type = pa.list_(pa.int64())
     cand_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                              ("pair_bucket", pa.int64())])
@@ -333,27 +389,93 @@ def minhash_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     sigs_a, siga_schema = sig_side("a")
     sigs_b, sigb_schema = sig_side("b")
     j1 = hash_join(candidates, sigs_a, "id_a", "sid_a", cand_schema, siga_schema,
-                   num_buckets=COARSE_BUCKETS, salt=1, rows_hint=rows_hint)
+                   num_buckets=COARSE_BUCKETS, salt=1, rows_hint=n_docs)
     j1_schema = pa.schema(list(cand_schema) + list(siga_schema))
     j2 = hash_join(j1, sigs_b, "id_b", "sid_b", j1_schema, sigb_schema,
-                   num_buckets=COARSE_BUCKETS, salt=1, rows_hint=rows_hint)
+                   num_buckets=COARSE_BUCKETS, salt=1, rows_hint=n_docs)
 
     def estimate(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        sa = (batch["sig_a"].combine_chunks().flatten()
-              .to_numpy(zero_copy_only=False).astype(np.int64).reshape(n, NUM_PERM))
-        sb = (batch["sig_b"].combine_chunks().flatten()
-              .to_numpy(zero_copy_only=False).astype(np.int64).reshape(n, NUM_PERM))
-        return _estimate_table(batch, sa, sb)
+        return _estimate_table(batch, _list_matrix(batch["sig_a"], NUM_PERM),
+                               _list_matrix(batch["sig_b"], NUM_PERM), threshold)
 
     return j2.map_batches(estimate, batch_format="pyarrow")
+
+
+def minhash_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
+                      threshold: float = 0.8, concurrency: int | None = None,
+                      rows_hint: int | None = None, batch_size: int = 256):
+    """Near-duplicate pairs via MinHash-LSH.
+
+    The sketch stage (:class:`MinHashSignatures`, a task stage) writes
+    one row per doc: a 64-int64 signature and 16 band hashes. What
+    follows depends on the corpus size, in one of three regimes:
+
+    * **Driver** (at most ``_SIG_BROADCAST_DOCS`` docs, the common
+      case): the sketch rows stream straight to the driver, which
+      bands, generates candidates (:func:`lsh_candidates`) and verifies
+      them in numpy, with no exchange. The result is one in-memory
+      table.
+    * **Candidate-limit fallback** (same size, but the raw candidate
+      count Σ k(k−1)/2 over equal-key runs exceeds
+      ``_DRIVER_CANDIDATES``, a bound derived from the matrix's byte
+      budget — a dup-heavy corpus): the band keys the driver already
+      holds go through the distributed shuffle LSH, and the pairs are
+      verified against the signature matrix broadcast once. The sketch
+      is not run again.
+    * **Keyed join** (above ``_SIG_BROADCAST_DOCS`` docs): the sketch
+      table is materialized, the shuffle LSH runs over its exploded
+      band rows, and pairs attach signatures through two keyed
+      bucket-shuffle joins; nothing is collected to the driver.
+
+    ``rows_hint`` (the known corpus row count, e.g. parquet metadata)
+    picks the regime without a count and sizes the exchanges. With no
+    hint the sketch table is materialized and counted first. A hint
+    that understates the corpus is caught while streaming: the driver
+    stops collecting past ``_SIG_BROADCAST_DOCS`` rows and the keyed
+    join runs, re-running the sketch. ``concurrency`` caps the sketch
+    tasks running at once (``None``: no cap).
+    Returns (id_a, id_b, est_jaccard) with id_a < id_b, deduplicated;
+    the three regimes give the same pairs.
+    """
+    import ray.data as rd
+
+    sketches = ds.map_batches(
+        task_stage("minhash_signatures", MinHashSignatures,
+                   text_col=text_col, id_col=id_col),
+        batch_format="pyarrow",
+        concurrency=concurrency,
+        batch_size=batch_size,
+    )
+    n_docs = rows_hint
+    if n_docs is None:
+        sketches = sketches.materialize()
+        n_docs = sketches.count()
+    held = (_gather_sketches(sketches, id_col, _SIG_BROADCAST_DOCS)
+            if n_docs <= _SIG_BROADCAST_DOCS else None)
+    if held is None:
+        sketches = sketches.materialize()  # read by the band and both signature branches
+        return _joined_pairs(sketches, id_col, threshold, sketches.count())
+
+    ids, sigs, bands = held
+    keys = _band_keys(bands)
+    found = lsh_candidates(ids, keys, _DRIVER_CANDIDATES)
+    if found is not None:
+        return rd.from_arrow(_driver_verify(*found, sigs, threshold))
+    from .relational import _shuffle_parts
+
+    band_rows = pa.table({id_col: pa.array(np.repeat(ids, NUM_BANDS), type=pa.int64()),
+                          "band_key": pa.array(keys.ravel(), type=pa.int64())})
+    step = -(-len(band_rows) // _shuffle_parts(COARSE_BUCKETS, len(band_rows)))
+    blocks = rd.from_arrow([band_rows.slice(i, step) for i in range(0, len(band_rows), step)])
+    return _broadcast_verify(_shuffle_lsh(blocks, id_col, len(ids)), ids, sigs, threshold)
 
 
 # ---------------------------------------------------------------- simhash
 
 
 class SimHash64:
-    """Actor stage: append a 64-bit SimHash fingerprint column."""
+    """Batch stage: append a 64-bit SimHash fingerprint column. Runs as
+    a task stage (:func:`~..functions.broadcast.task_stage`)."""
 
     def __init__(self, text_col: str = "text") -> None:
         self.text_col = text_col
@@ -377,15 +499,16 @@ class SimHash64:
 
 
 def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
-                       max_hamming: int = 3, concurrency=(2, 8),
+                       max_hamming: int = 3, concurrency: int | None = None,
                        rows_hint: int | None = None):
     """Near-dup candidates with Hamming distance ≤ ``max_hamming``:
     band the 63 usable bits into 4 blocks (pigeonhole: any pair within
     distance 3 agrees on ≥1 block), groupby block value, verify
     distance inside the bucket. ``rows_hint`` (known corpus rows) sizes
-    the two pre-groupby exchanges."""
+    the two pre-groupby exchanges. ``concurrency`` caps the
+    fingerprint tasks running at once (``None``: no cap)."""
     fps = ds.select_columns([id_col, text_col]).map_batches(
-        SimHash64, fn_constructor_kwargs={"text_col": text_col},
+        task_stage("simhash64", SimHash64, text_col=text_col),
         batch_format="pyarrow", concurrency=concurrency, batch_size=512,
     ).select_columns([id_col, "simhash"])
 

@@ -5,6 +5,8 @@ so these use purpose-built synthetic inputs)."""
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 BASE = (
     "the quick brown fox jumps over the lazy dog while the storm gathers "
@@ -541,9 +543,10 @@ def test_distributed_components_moderate_graph(ray_session):
 
 def test_minhash_joined_verify_matches_broadcast(near_dup_docs, monkeypatch):
     """Forcing the above-limit keyed-join verify (as a 10^12-doc corpus
-    would use) produces exactly the broadcast path's pairs — and the
-    union inputs are materialized, so the joined plan cannot hit the
-    executor's same-upstream union stall under a small CPU budget."""
+    would use) produces exactly the default (driver) path's pairs at the
+    default threshold — and the union inputs are materialized, so the
+    joined plan cannot hit the executor's same-upstream union stall
+    under a small CPU budget."""
     import pandas as pd
 
     from pdf4py_ray.stages import dedup as D
@@ -557,3 +560,124 @@ def test_minhash_joined_verify_matches_broadcast(near_dup_docs, monkeypatch):
         base[["id_a", "id_b", "est_jaccard"]],
         joined[["id_a", "id_b", "est_jaccard"]],
     )
+
+
+def _brute_band_pairs(ids, keys) -> list:
+    """Sorted (id_a < id_b) pairs of distinct ids whose rows share any
+    band key — the LSH candidate definition, pair by pair."""
+    out = set()
+    for i in range(len(ids)):
+        for j in range(len(ids)):
+            if ids[i] < ids[j] and set(keys[i]) & set(keys[j]):
+                out.add((int(ids[i]), int(ids[j])))
+    return sorted(out)
+
+
+@st.composite
+def _band_corpus(draw):
+    n = draw(st.integers(0, 14))
+    bands = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(-3, 9), min_size=n, max_size=n))
+    keys = draw(st.lists(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(0, 5),
+                                  min_size=bands, max_size=bands),
+                         min_size=n, max_size=n))
+    return (np.array(ids, dtype=np.int64),
+            np.array(keys, dtype=np.int64).reshape(n, bands))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_band_corpus())
+@example((np.empty(0, np.int64), np.empty((0, 16), np.int64)))           # empty input
+@example((np.array([7]), np.arange(16).reshape(1, 16)))                  # one doc
+@example((np.array([3, 3, 1]), np.zeros((3, 4), np.int64)))               # duplicate ids
+@example((np.arange(6)[::-1].copy(), np.tile(np.arange(16), (6, 1))))     # all identical
+def test_lsh_candidates_match_brute_force(corpus):
+    from pdf4py_ray.stages.dedup import lsh_candidates
+
+    ids, keys = corpus
+    want = _brute_band_pairs(ids, keys)
+    id_a, id_b, row_a, row_b = lsh_candidates(ids, keys, limit=len(ids) ** 2 * keys.shape[1])
+    assert list(zip(id_a.tolist(), id_b.tolist())) == want
+    first = {}
+    for row, doc in enumerate(ids.tolist()):
+        first.setdefault(doc, row)
+    assert [first[a] for a in id_a.tolist()] == row_a.tolist()
+    assert [first[b] for b in id_b.tolist()] == row_b.tolist()
+
+
+def test_lsh_candidates_limit_counts_raw_candidates():
+    """The limit is checked against Σ k(k−1)/2 over equal-key runs
+    before any pair is built: three identical docs in four bands are
+    4 × 3 = 12 raw candidates (3 distinct pairs)."""
+    from pdf4py_ray.stages.dedup import lsh_candidates
+
+    ids, keys = np.array([5, 6, 7]), np.zeros((3, 4), np.int64)
+    keys[:] = np.arange(4)
+    assert lsh_candidates(ids, keys, limit=11) is None
+    id_a, id_b, _, _ = lsh_candidates(ids, keys, limit=12)
+    assert list(zip(id_a.tolist(), id_b.tolist())) == [(5, 6), (5, 7), (6, 7)]
+
+
+def _regime_pairs(docs, **kwargs):
+    """(sorted pair frame, names of the verify regimes that ran). The
+    threshold is 0, so every LSH candidate is reported and the frames
+    pin candidate generation as well as the estimates."""
+    from pdf4py_ray.stages import dedup as D
+
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_driver_verify", "_broadcast_verify", "_joined_pairs"):
+            real = getattr(D, name)
+            mp.setattr(D, name, lambda *a, _n=name, _f=real: ran.append(_n) or _f(*a))
+        frame = (D.minhash_dup_pairs(docs, threshold=0.0, **kwargs).to_pandas()
+                 .sort_values(["id_a", "id_b"]).reset_index(drop=True))
+    return frame[["id_a", "id_b", "est_jaccard"]], ran
+
+
+def test_minhash_three_regimes_agree(near_dup_docs, monkeypatch):
+    """Driver LSH, the candidate-limit fallback (shuffle LSH over the
+    held band keys + broadcast verify) and the keyed join each run when
+    forced, and all three give the same pairs and estimates."""
+    from pdf4py_ray.stages import dedup as D
+
+    n = near_dup_docs.count()
+    driver, ran = _regime_pairs(near_dup_docs, rows_hint=n)
+    assert ran == ["_driver_verify"]
+    pairs = set(zip(driver["id_a"], driver["id_b"]))
+    assert {(100, 101), (100, 102), (101, 102)} < pairs  # and filler collisions
+    unhinted, ran = _regime_pairs(near_dup_docs)
+    assert ran == ["_driver_verify"]
+
+    monkeypatch.setattr(D, "_DRIVER_CANDIDATES", 0)
+    fallback, ran = _regime_pairs(near_dup_docs, rows_hint=n)
+    assert ran == ["_broadcast_verify"]
+
+    monkeypatch.setattr(D, "_SIG_BROADCAST_DOCS", 0)
+    joined, ran = _regime_pairs(near_dup_docs, rows_hint=n)
+    assert ran == ["_joined_pairs"]
+
+    for other in (unhinted, fallback, joined):
+        pd.testing.assert_frame_equal(driver, other)
+
+
+def test_minhash_understated_rows_hint_falls_back(near_dup_docs, monkeypatch):
+    """A ``rows_hint`` below the true corpus size picks the driver
+    regime, but collection stops once the rows pass
+    ``_SIG_BROADCAST_DOCS`` and the keyed join gives the same pairs."""
+    from pdf4py_ray.stages import dedup as D
+
+    base, _ = _regime_pairs(near_dup_docs)
+    gathered = []
+    real_gather = D._gather_sketches
+    monkeypatch.setattr(D, "_SIG_BROADCAST_DOCS", 20)
+    monkeypatch.setattr(D, "_gather_sketches",
+                        lambda *a: gathered.append(real_gather(*a)) or gathered[-1])
+    ran = []
+    real_joined = D._joined_pairs
+    monkeypatch.setattr(D, "_joined_pairs",
+                        lambda *a: ran.append(a[-1]) or real_joined(*a))
+    got = (D.minhash_dup_pairs(near_dup_docs, threshold=0.0, rows_hint=10).to_pandas()
+           .sort_values(["id_a", "id_b"]).reset_index(drop=True))
+    assert gathered == [None]
+    assert ran == [near_dup_docs.count()]  # the keyed join is sized by the real count
+    pd.testing.assert_frame_equal(base, got[["id_a", "id_b", "est_jaccard"]])

@@ -4,6 +4,11 @@ analogue of the reference's functional suite
 object, decode every stream, check versions / page counts / xref
 chains."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from pdf4py_ray.kernel import pdfgen
@@ -171,3 +176,33 @@ def test_from_file_mmap_parses_without_loading(tmp_path):
         assert len(pages_a) == len(pages_b)
         for a, b in zip(pages_a, pages_b):
             assert mem.page_content(a) == mapped.page_content(b)
+
+
+_XREF_CYCLE_SCRIPT = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, {repo!r})
+    from pdf4py_ray.kernel import pdfgen
+    from pdf4py_ray.stages.extract import ExtractTurns
+
+    row = ExtractTurns().extract_one(pdfgen.{make_pdf}().decode("latin-1"), "")
+    print(row[0], row[5], row[6])
+""")
+
+
+@pytest.mark.parametrize("make_pdf", ["self_prev_pdf", "cyclic_prev_pdf"])
+def test_cyclic_xref_chain_is_an_error_row(make_pdf):
+    """A /Prev chain that comes back to an offset it has visited
+    becomes a ``status="error"`` row. It runs in a subprocess with a
+    timeout because a parser without the visited set never returns."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = _XREF_CYCLE_SCRIPT.format(repo=repo, make_pdf=make_pdf)
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{make_pdf}: extraction still running after 30 s")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    kind, status, error = proc.stdout.strip().split(" ", 2)
+    assert (kind, status) == ("pdf", "error")
+    assert error.startswith("PdfSyntaxError: The xref chain revisits offset")
+

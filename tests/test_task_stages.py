@@ -199,3 +199,18 @@ def test_cached_get_memoizes_none(monkeypatch):
     assert broadcast.cached_get(ref) is None
     assert broadcast.cached_get(ref) is None
     assert len(calls) == 1
+
+
+def test_simhash_runs_no_actor_pool(ray_session):
+    """SimHash fingerprints run as a task stage with no default
+    concurrency: a (2, 8) actor pool stalls at 2 logical CPUs."""
+    import ray.data as rd
+
+    from pdf4py_ray.stages.dedup import simhash_candidates
+
+    assert inspect.signature(simhash_candidates).parameters["concurrency"].default is None
+    docs = rd.from_arrow(pa.table({"doc_id": [1, 2], "text": ["a b c d e"] * 2}))
+    ds = simhash_candidates(docs)
+    assert ("MapBatches(simhash64)", False) in _map_ops(ds)
+    assert not [op for op in _map_ops(ds) if op[1]]
+    assert [(r["id_a"], r["id_b"], r["hamming"]) for r in ds.take_all()] == [(1, 2, 0)]
