@@ -426,19 +426,27 @@ class PdfDocument:
         """Leaf page dictionaries in tree (reading) order, with
         inheritable attributes resolved."""
         out: list = []
-        root = self.deref(self.catalog()["Pages"])
-        self._walk_pages(root, {}, out)
+        self._walk_pages(self.catalog()["Pages"], {}, out, set())
         return out
 
-    def _walk_pages(self, node: dict, inherited: dict, out: list) -> None:
-        node = self.deref(node)
+    def _walk_pages(self, node, inherited: dict, out: list, visited: set) -> None:
+        """Append the leaves under ``node`` to ``out``. ``visited`` holds
+        the references of the ``Pages`` nodes walked so far: a tree
+        reaches each once, so a revisit is a ``/Kids`` cycle (parsed
+        objects are trees, so every cycle passes through a reference)."""
+        ref, node = node, self.deref(node)
         inh = dict(inherited)
         for key in _INHERITABLE:
             if key in node:
                 inh[key] = node[key]
         if node.get("Type") == "Pages":
+            if isinstance(ref, Ref):
+                if ref in visited:
+                    raise PdfSyntaxError(
+                        f"The page tree revisits Pages object {ref.number} {ref.generation} R.")
+                visited.add(ref)
             for kid in node["Kids"]:
-                self._walk_pages(kid, inh, out)
+                self._walk_pages(kid, inh, out, visited)
         else:
             page = dict(node)
             for key, val in inh.items():

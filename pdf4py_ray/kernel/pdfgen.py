@@ -394,6 +394,20 @@ def cyclic_prev_pdf() -> bytes:
     return bytes(buf)
 
 
+def kids_cycle_pdf() -> bytes:
+    """Hostile: the root ``Pages`` node's ``/Kids`` hold a page and an
+    inner ``Pages`` node whose only kid is the root again."""
+    w = PdfWriter("1.4")
+    font_ref = w.add(dict(_BASE_FONT))
+    root_pages, inner_pages = Ref(90, 0), Ref(91, 0)
+    c_ref = w.add(RawStream({}, _content("Kids cycle")))
+    p_ref = w.add({"Type": "Page", "Parent": root_pages, "Contents": c_ref,
+                   "Resources": {"Font": {"F1": font_ref}}})
+    w.add({"Type": "Pages", "Kids": [p_ref, inner_pages], "Count": 2}, num=90)
+    w.add({"Type": "Pages", "Parent": root_pages, "Kids": [root_pages], "Count": 1}, num=91)
+    return w.tobytes(w.add({"Type": "Catalog", "Pages": root_pages}))
+
+
 def hybrid_xrefstm_pdf() -> bytes:
     """Classic table whose trailer points at an /XRefStm stream; the
     page objects are only reachable through the stream's entries."""

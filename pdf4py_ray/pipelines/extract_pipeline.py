@@ -2,7 +2,8 @@
 
 Lifecycle (SURVEY §3.4):
 
-    read turns (Parquet scan, or synthesized)     # stateless, column-pruned
+    read turns (Parquet scan, or synthesized)     # stateless, column-pruned;
+                                                  # one task per slot if it fits
       → add part_id (hash(conv_id) % P, salted)   # task map_batches
       → ExtractTurns                              # task map_batches, pyarrow batches;
                                                   # one extractor per worker per build
@@ -166,21 +167,23 @@ def _split_points_from_docs(sf_dir: str, num_buckets: int = 64) -> list:
 
 def sample_split_points(turns_dir: str, num_buckets: int = 64) -> list:
     """Range-sort split points: sample ``conv_id`` from a spread of up
-    to 8 input parquet files (column-pruned, the first
-    ``SPLIT_SAMPLE_ROWS`` rows of each) and take the
-    :func:`quantile_splits` of the sample. At 10^12 turns this reads a
-    few row groups of one string column — O(sample), never O(corpus)."""
-    import glob
+    to 8 of the input parquet files (:func:`input_parquet_files`;
+    column-pruned, the first ``SPLIT_SAMPLE_ROWS`` rows of each) and
+    take the :func:`quantile_splits` of the sample. At 10^12 turns this
+    reads a few row groups of one string column — O(sample), never
+    O(corpus)."""
+    return _sampled_split_points(turns_dir, *input_parquet_files(turns_dir), num_buckets)
 
+
+def _sampled_split_points(turns_dir: str, filesystem, files: list, num_buckets: int) -> list:
     import pyarrow.parquet as pq
 
-    files = sorted(glob.glob(os.path.join(turns_dir, "*.parquet")))
     if not files:
         raise FileNotFoundError(f"no parquet files under {turns_dir}")
     step = max(1, len(files) // 8)
     vals: list = []
     for f in files[::step][:8]:
-        col = pq.read_table(f, columns=["conv_id"])["conv_id"]
+        col = pq.read_table(f.path, columns=["conv_id"], filesystem=filesystem)["conv_id"]
         vals.extend(col.slice(0, SPLIT_SAMPLE_ROWS).to_pylist())
     vals.sort()
     return quantile_splits(vals, num_buckets)
@@ -326,6 +329,48 @@ def materialize_turns(sf_dir: str, out_dir: str, repeat: int = 1) -> str:
     return out_dir
 
 
+def input_parquet_files(turns_dir: str) -> tuple:
+    """(pyarrow FileSystem, ``FileInfo`` list sorted by path) of the
+    input Parquet files: ``turns_dir`` itself if it is a file, else the
+    ``.parquet`` files under it, recursively, as ``read_parquet`` reads
+    them. One listing, from which both the read sizing and the split
+    sample take their file set; the infos carry on-disk sizes, so no
+    footer is read."""
+    from pyarrow import fs as pafs
+
+    filesystem, path = _resolve_fs(turns_dir)
+    info = filesystem.get_file_info(path)
+    if info.type == pafs.FileType.File:
+        return filesystem, [info]
+    files = [
+        fi for fi in filesystem.get_file_info(pafs.FileSelector(path, recursive=True))
+        if fi.type == pafs.FileType.File and fi.base_name.endswith(".parquet")
+    ]
+    return filesystem, sorted(files, key=lambda fi: fi.path)
+
+
+def read_task_count(input_bytes: int, slots: int, block_bytes: int) -> Optional[int]:
+    """Read tasks for ``input_bytes`` of input files on ``slots``
+    concurrent task slots: one per slot while the input is at most
+    ``slots × block_bytes``, so every slot gets an equal share up front
+    and none waits on the executor's poll to be refilled; above that,
+    ``None`` (Ray Data's own read sizing). ``input_bytes`` is on-disk,
+    compressed size compared against an in-memory block target, so a
+    task may decode more than ``block_bytes``; Ray Data still cuts its
+    output into blocks of the target."""
+    return slots if input_bytes <= slots * block_bytes else None
+
+
+def _task_slots(concurrency: Optional[int]) -> int:
+    """``concurrency``, else the cluster's logical CPUs. Ray Data starts
+    Ray lazily, at the read; ``get_runtime_context`` starts it the same
+    way (Ray's auto-init), so the cluster is read only once Ray is up."""
+    if concurrency:
+        return concurrency
+    ray.get_runtime_context()
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def extraction_from_parquet(
     turns_dir: str,
     num_partitions: int = 64,
@@ -337,7 +382,16 @@ def extraction_from_parquet(
     """The production-shaped pipeline: column-pruned Parquet scan of
     transcript turns → partition tag → extraction tasks → stable
     sort. This is what runs against the real 10^12-turn table.
-    ``concurrency`` caps the extraction tasks (``None``: no cap).
+
+    ``concurrency`` is the slot count: the number of extraction tasks
+    that run at once (``None``: the cluster's logical CPUs, no cap).
+    When the input files' summed on-disk size is at most ``slots ×
+    target_max_block_size`` (Ray Data's own block target), the read
+    plans one task per slot (:func:`read_task_count`), so each slot
+    gets one equal share up front; a larger input keeps Ray Data's own
+    read sizing. The pipeline's dataset runs without Ray Data's
+    per-operator resource reservation (see :mod:`pdf4py_ray.config`);
+    other pipelines keep it.
 
     ``sort`` (the default gate shape) applies :func:`range_sorted` —
     split points sampled from the input, one bucket shuffle,
@@ -352,9 +406,14 @@ def extraction_from_parquet(
     # before the read: the read copies Ray Data's context, and every
     # stage after it inherits that copy
     apply_engine_defaults()
+    filesystem, files = input_parquet_files(turns_dir)
+    tasks = read_task_count(sum(fi.size for fi in files), _task_slots(concurrency),
+                            rd.DataContext.get_current().target_max_block_size)
     turns = rd.read_parquet(
-        turns_dir, columns=["conv_id", "turn_idx", "text", "tool"]
+        turns_dir, columns=["conv_id", "turn_idx", "text", "tool"], override_num_blocks=tasks
     )
+    # this pipeline only: its stages share the read's context copy
+    turns.context.op_resource_reservation_enabled = False
     ds = extraction_dataset(
         turns,
         num_partitions=num_partitions,
@@ -364,7 +423,7 @@ def extraction_from_parquet(
     )
     if not sort:
         return ds
-    splits = sample_split_points(turns_dir, num_buckets=max(64, num_partitions))
+    splits = _sampled_split_points(turns_dir, filesystem, files, max(64, num_partitions))
     return range_sorted(ds, splits)
 
 

@@ -189,11 +189,18 @@ _XREF_CYCLE_SCRIPT = textwrap.dedent("""
 """)
 
 
-@pytest.mark.parametrize("make_pdf", ["self_prev_pdf", "cyclic_prev_pdf"])
-def test_cyclic_xref_chain_is_an_error_row(make_pdf):
-    """A /Prev chain that comes back to an offset it has visited
-    becomes a ``status="error"`` row. It runs in a subprocess with a
-    timeout because a parser without the visited set never returns."""
+@pytest.mark.parametrize("make_pdf, message", [
+    ("self_prev_pdf", "PdfSyntaxError: The xref chain revisits offset"),
+    ("cyclic_prev_pdf", "PdfSyntaxError: The xref chain revisits offset"),
+    ("kids_cycle_pdf", "PdfSyntaxError: The page tree revisits Pages object"),
+], ids=["self_prev_pdf", "cyclic_prev_pdf", "kids_cycle_pdf"])
+def test_cyclic_xref_chain_is_an_error_row(make_pdf, message):
+    """A /Prev chain that comes back to an offset it has visited, or a
+    page tree whose /Kids come back to a Pages node it has walked,
+    becomes a ``status="error"`` row with its own message. It runs in a
+    subprocess with a timeout because a parser without the visited set
+    never returns (xref chain) or fails only by ``RecursionError``
+    (page tree)."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = _XREF_CYCLE_SCRIPT.format(repo=repo, make_pdf=make_pdf)
     try:
@@ -204,5 +211,5 @@ def test_cyclic_xref_chain_is_an_error_row(make_pdf):
     assert proc.returncode == 0, proc.stderr[-2000:]
     kind, status, error = proc.stdout.strip().split(" ", 2)
     assert (kind, status) == ("pdf", "error")
-    assert error.startswith("PdfSyntaxError: The xref chain revisits offset")
+    assert error.startswith(message)
 

@@ -8,6 +8,8 @@ import os
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -152,6 +154,29 @@ def test_materialize_and_extract_from_parquet(ray_session, tmp_path):
         SF_DIR, out_dir=None, num_partitions=8, concurrency=2
     ).select_columns(["conv_id", "turn_idx", "extracted_text", "status"]).take_all()
     assert via_parquet == via_memory
+
+
+def test_extract_from_a_single_parquet_file(ray_session, tmp_path):
+    """A single Parquet file is an input like a directory holding it,
+    sorted or not."""
+    import pyarrow.parquet as pq
+
+    from pdf4py_ray.pipelines.extract_pipeline import extraction_from_parquet
+
+    (tmp_path / "turns").mkdir()
+    path = str(tmp_path / "turns" / "part-0.parquet")
+    pq.write_table(pa.table({
+        "conv_id": [f"conv-{i % 3}" for i in range(6)],
+        "turn_idx": pa.array(range(6), pa.int32()),
+        "text": [f"turn {i}" for i in range(6)], "tool": [""] * 6,
+    }), path)
+    cols = ["conv_id", "turn_idx", "extracted_text", "status"]
+    for sort in (True, False):
+        rows = [extraction_from_parquet(p, num_partitions=4, concurrency=2, sort=sort)
+                .select_columns(cols).take_all() for p in (path, str(tmp_path / "turns"))]
+        if not sort:
+            rows = [sorted(r, key=lambda row: (row["conv_id"], row["turn_idx"])) for r in rows]
+        assert len(rows[0]) == 6 and rows[0] == rows[1]
 
 
 def test_salted_partitioning_spreads_hot_conversation():
@@ -349,4 +374,40 @@ def test_sample_split_points_small_sample_has_no_duplicates(tmp_path):
 
     pq.write_table(pa.table({"conv_id": ["c", "a", "b", "b", "c"]}),
                    str(tmp_path / "part-0.parquet"))
+    assert sample_split_points(str(tmp_path), num_buckets=64) == ["b", "c"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 1 << 44), st.integers(1, 512), st.integers(1, 1 << 30))
+def test_read_task_count_is_one_per_slot_within_one_wave(input_bytes, slots, block_bytes):
+    """One read task per slot while the input is at most one block
+    target per slot; above that, Ray Data's own sizing (``None``)."""
+    from pdf4py_ray.pipelines.extract_pipeline import read_task_count
+
+    tasks = read_task_count(input_bytes, slots, block_bytes)
+    if input_bytes <= slots * block_bytes:
+        assert tasks == slots
+    else:
+        assert tasks is None
+
+
+def test_input_parquet_files_lists_a_file_or_a_tree(tmp_path):
+    """A single Parquet file is its own listing; a directory lists its
+    ``.parquet`` files recursively, sorted by path, with their sizes.
+    Split sampling reads the same listing."""
+    import pyarrow.parquet as pq
+
+    from pdf4py_ray.pipelines.extract_pipeline import input_parquet_files, sample_split_points
+
+    (tmp_path / "sub").mkdir()
+    for name, ids in (("b.parquet", ["b"]), ("sub/a.parquet", ["a", "c"])):
+        pq.write_table(pa.table({"conv_id": ids}), str(tmp_path / name))
+    (tmp_path / "_DONE.json").write_text("{}")
+
+    _, files = input_parquet_files(str(tmp_path))
+    assert [os.path.relpath(f.path, tmp_path) for f in files] == ["b.parquet", "sub/a.parquet"]
+    assert [f.size for f in files] == [os.path.getsize(tmp_path / "b.parquet"),
+                                       os.path.getsize(tmp_path / "sub/a.parquet")]
+    _, (one,) = input_parquet_files(str(tmp_path / "b.parquet"))
+    assert one.size == os.path.getsize(tmp_path / "b.parquet")
     assert sample_split_points(str(tmp_path), num_buckets=64) == ["b", "c"]

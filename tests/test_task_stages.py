@@ -214,3 +214,77 @@ def test_simhash_runs_no_actor_pool(ray_session):
     assert ("MapBatches(simhash64)", False) in _map_ops(ds)
     assert not [op for op in _map_ops(ds) if op[1]]
     assert [(r["id_a"], r["id_b"], r["hamming"]) for r in ds.take_all()] == [(1, 2, 0)]
+
+
+_OVERLAP_SCRIPT = textwrap.dedent("""
+    import os
+    import re
+    import sys
+    import time
+    import uuid
+    sys.path.insert(0, {repo!r})
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    from pdf4py_ray.pipelines import extract_pipeline as xp
+
+    data, marks = {out!r} + "/data", {out!r} + "/marks"
+    os.makedirs(data)
+    os.makedirs(marks)
+    for k in range(2):
+        pq.write_table(pa.table({{
+            "conv_id": [f"conv-{{k}}-{{i}}" for i in range(4)],
+            "turn_idx": pa.array(range(4), pa.int32()),
+            "text": ["plain text turn"] * 4, "tool": [""] * 4,
+        }}), f"{{data}}/part-{{k}}.parquet")
+    ray.init(address="local", num_cpus=3, include_dashboard=False, logging_level="ERROR")
+    rd.DataContext.get_current().enable_progress_bars = False
+    # starts the task workers, so the timed execution measures scheduling only
+    assert len(xp.extraction_from_parquet(data, concurrency=2, sort=False).take_all()) == 8
+
+    class SlowExtractTurns(xp.ExtractTurns):
+        def __call__(self, batch):
+            with open(os.path.join(marks, uuid.uuid4().hex), "w") as fh:
+                fh.write(repr(time.time()))
+            time.sleep(1.0)
+            return super().__call__(batch)
+
+    xp.ExtractTurns = SlowExtractTurns
+    ds = xp.extraction_from_parquet(data, concurrency=2, sort=False)
+    assert len(ds.take_all()) == 8
+    starts = sorted(float(open(os.path.join(marks, m)).read()) for m in os.listdir(marks))
+    tasks = re.search(r"MapBatches\\(extract_turns\\): (\\d+) tasks executed", ds.stats())
+    print("RESULT", tasks and tasks.group(1), ds.context.op_resource_reservation_enabled,
+          rd.DataContext.get_current().op_resource_reservation_enabled, *starts)
+    ray.shutdown()
+""")
+
+
+def test_two_slots_run_two_extractions_at_once(tmp_path):
+    """With ``concurrency=2`` over two small files, the read plans one
+    task per slot and both extraction tasks run at once: the two 1-s
+    batches start less than 1 s apart. It fails if Ray Data's
+    per-operator reservation is on (it refuses the second task until
+    the first one finishes) or if the read is not slot-sized (Ray
+    Data's own sizing splits this input into six tasks). The
+    reservation stays on in the process-wide context: only the
+    extraction pipeline's own context turns it off."""
+    script = _OVERLAP_SCRIPT.format(repo=REPO, out=str(tmp_path))
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True, start_new_session=True,
+                            cwd=REPO)
+    try:
+        out, _ = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, 9)
+        proc.communicate()
+        pytest.fail("extraction did not finish within 120 s")
+    assert proc.returncode == 0, out[-3000:]
+    tasks, reservation, global_reservation, *starts = out.split("RESULT ", 1)[1].split()
+    assert tasks == "2"
+    assert reservation == "False"  # set on the read's context, which every stage shares
+    assert global_reservation == "True"
+    assert len(starts) == 2, starts
+    assert float(starts[1]) - float(starts[0]) < 1.0, starts
