@@ -16,7 +16,21 @@ Parity quirks preserved (equality gate):
 - xref iteration yields entries of *all* generations, oldest section
   first (``parser.py:93-108`` — its freed-entry filter is a no-op);
 - objects inside object streams are parsed without the string-decrypt
-  hook (their container stream was already decrypted).
+  hook (their container stream was already decrypted);
+- an object-stream lookup behaves as the reference's scan of the
+  container's header from its first pair: the first entry for a
+  number wins, a malformed pair raises "Expected integer pairs in
+  object-stream header." only for numbers that do not appear before
+  it, and a number absent from the header raises "Compressed object
+  not found in its object stream.".
+
+Object streams are decoded once per document, not once per lookup:
+the first lookup into a container decodes it and reads its whole
+header into a ``{number: offset}`` index (``_index_object_stream``),
+which lives as long as the document. The index sits outside the
+256-entry object LRU, which keeps the reference's size; evicting an
+object there costs a re-parse from the decoded payload, never a
+second decode. Outputs equal the reference's; only the cost differs.
 
 Extension beyond the reference (SURVEY §2.7): page-tree traversal with
 attribute inheritance (``Resources``/``MediaBox``/``CropBox``/
@@ -101,6 +115,10 @@ class PdfDocument:
         # pathological PDF with millions of objects balloon an
         # extractor actor's heap.
         self._cache: "OrderedDict" = OrderedDict()
+        # object-stream containers read so far: number -> the index
+        # from ``_index_object_stream``; outside the LRU above, so a
+        # document past 256 objects still decodes each container once
+        self._objstm: dict = {}
         self.xref: Optional[XrefIndex] = None
         self.version = self._read_header()
         self.trailer = self._build_xref()
@@ -388,7 +406,27 @@ class PdfDocument:
         return value
 
     def _parse_from_object_stream(self, entry: CompressedEntry):
-        container = self.get_object(Ref(entry.container, 0))
+        index = self._objstm.get(entry.container)
+        if index is None:
+            index = self._objstm[entry.container] = self._index_object_stream(entry.container)
+        sub, d, offsets, header_error = index
+        offset = offsets.get(entry.number)
+        if offset is None:
+            if header_error is not None:
+                raise header_error.with_traceback(None)
+            raise PdfSyntaxError("Compressed object not found in its object stream.")
+        sub.tok.seek(d["First"] + offset)
+        return sub.parse_object()
+
+    def _index_object_stream(self, number: int) -> tuple:
+        """``(parser over the decoded payload, stream dict, {number:
+        offset}, header error)`` for object-stream container
+        ``number``: the container is decoded and its header read once
+        per document. The first entry for a number wins; a header that
+        stops parsing early keeps the error, raised for any number not
+        indexed before it (a rescan from the first pair would meet
+        the same error at the same place)."""
+        container = self.get_object(Ref(number, 0))
         if not isinstance(container, Stream):
             raise PdfSyntaxError("Object-stream container is not a stream.")
         payload = container.data()
@@ -396,15 +434,18 @@ class PdfDocument:
         # no decrypt hook: the container payload is already plaintext
         sub = ObjectParser(payload, stream_resolver=self._resolve_stream,
                            content_stream_mode=False)
-        for _ in range(d["N"]):
-            num = sub.parse_object()
-            offset = sub.parse_object()
-            if not isinstance(num, int) or not isinstance(offset, int):
-                raise PdfSyntaxError("Expected integer pairs in object-stream header.")
-            if num == entry.number:
-                sub.tok.seek(d["First"] + offset)
-                return sub.parse_object()
-        raise PdfSyntaxError("Compressed object not found in its object stream.")
+        offsets: dict = {}
+        header_error = None
+        try:
+            for _ in range(d["N"]):
+                num = sub.parse_object()
+                offset = sub.parse_object()
+                if not isinstance(num, int) or not isinstance(offset, int):
+                    raise PdfSyntaxError("Expected integer pairs in object-stream header.")
+                offsets.setdefault(num, offset)
+        except Exception as e:  # StopIteration included: N past the payload
+            header_error = e
+        return sub, d, offsets, header_error
 
     def deref(self, obj):
         """Follow ``Ref`` chains to a concrete value."""

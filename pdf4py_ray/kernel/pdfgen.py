@@ -132,12 +132,19 @@ class PdfWriter:
         compress_into_objstm: list | None = None,
         trailer_extra: dict | None = None,
         id_pair: tuple = (b"fixture-id-0", b"fixture-id-1"),
+        compressed_entries: dict | None = None,
     ) -> bytes:
         """Emit the document. ``compress_into_objstm`` lists object
-        numbers to move into an object stream (forces xref_stream)."""
+        numbers to move into an object stream (forces xref_stream).
+        ``compressed_entries`` maps further object numbers to
+        ``(objstm_num, index)`` xref entries into an object stream the
+        caller added itself (forces xref_stream)."""
         buf = bytearray(f"%PDF-{self.version}\n".encode())
         offsets: dict = {}
-        compressed: dict = {}  # num -> (objstm_num, index)
+        compressed: dict = dict(compressed_entries or {})  # num -> (objstm_num, index)
+        if compressed:
+            xref_stream = True
+            self._next = max(self._next, max(compressed) + 1)
 
         objstm_members = compress_into_objstm or []
         if objstm_members:
@@ -270,6 +277,22 @@ def object_stream_pdf(texts=("Compressed catalog text",)) -> bytes:
     ]
     members = sorted(set(members))
     return w.tobytes(root, compress_into_objstm=members)
+
+
+def object_stream_header_pdf(header: bytes, body: bytes, n: int, numbers) -> bytes:
+    """A one-page PDF plus an object stream whose header is written by
+    hand: its payload is ``header + body``, ``/First`` is
+    ``len(header)`` and ``/N`` is ``n``. Each of ``numbers`` (object
+    numbers above the page tree's) gets a compressed xref entry into
+    it, in order; nothing else lives in the stream."""
+    w = PdfWriter("1.5")
+    font_ref = w.add(dict(_BASE_FONT))
+    root = w.simple_page_tree([_content("Outside the object stream")],
+                              {"Font": {"F1": font_ref}})
+    stm = w.add(RawStream({"Type": "ObjStm", "N": n, "First": len(header),
+                           "Filter": "FlateDecode"}, zlib.compress(header + body)))
+    return w.tobytes(root, compressed_entries={
+        num: (stm.number, i) for i, num in enumerate(numbers)})
 
 
 def stream_length_ref_pdf() -> bytes:

@@ -10,6 +10,16 @@ buffer. Token-level semantics are behavior-matched to the reference,
 including its quirks (documented inline), because the correctness gate
 is equality with the reference.
 
+``Tokenizer.next`` takes the common tokens in one compiled match
+(``_FAST_RE``) that also skips blanks and comments: names, plain
+integers and reals that end at a non-regular byte, ``<<``, ``>>``,
+``[``, ``]``, and operator runs whose first byte starts no number and
+no fixed literal (``t f s n e o x``). Everything else — strings, hex
+strings, keywords, ``true``/``false``/``null``, braces, the degenerate
+number forms and every error — goes through ``_next_slow``, the full
+dispatch, unchanged. A property test pins both paths equal on the
+same input, token by token and error by error.
+
 Produced token values:
   ``int`` / ``float`` / ``bool`` / ``None``            numbers, booleans, null
   ``str``                                              a /Name (hash-unescaped, UTF-8)
@@ -63,6 +73,39 @@ _TRAILING_COMMENT_RE = re.compile(rb"%[^\n]*\Z")
 # reference accepts the degenerate forms "4." and "-.002"
 # (``pdf4py/_lexer.py:429-465``).
 _NUM_RE = re.compile(rb"[+-]?\d*(?:\.\d*)?")
+
+# Fast path of ``Tokenizer.next``: one match skips blanks and comments
+# (as ``_SKIP_RE``) and then captures one common token whose value
+# the slow dispatch would produce from the same bytes:
+#   name   ``/`` and its regular run (possibly empty);
+#   real   a number with a point and at least one digit, and
+#   int    a plain integer, each only where the next byte is not a
+#          regular character (``12abc``, ``1.2.3`` and ``4e5`` go the
+#          slow way);
+#   dopen, dclose, aopen, aclose   ``<<`` ``>>`` ``[`` ``]``;
+#   op     a regular run whose first byte is none of the number
+#          starts (digits, ``+ - .``) and none of the fixed literals'
+#          first bytes (``t f s n e o x``), so no keyword, boolean or
+#          null can be taken for an operator.
+# The empty last alternative matches anything else (strings, hex,
+# keywords, literals, errors, end of input), which leaves the cursor
+# after the blanks and falls through to ``_next_slow``.
+_REG = re.escape(_REGULAR_CLASS)
+_OP_FIRST = re.escape(bytes(c for c in _REGULAR_CLASS if c not in b"0123456789+-.tfsneox"))
+_FAST_RE = re.compile(
+    rb"(?:[\x00\t\n\x0c\r ]+|%[^\n]*\n)*"
+    rb"(?:/(?P<name>[" + _REG + rb"]*)"
+    rb"|(?P<real>[+-]?(?:\d+\.\d*|\.\d+))(?![" + _REG + rb"])"
+    rb"|(?P<int>[+-]?\d+)(?![" + _REG + rb"])"
+    rb"|(?P<dopen><<)|(?P<dclose>>>)|(?P<aopen>\[)|(?P<aclose>\])"
+    rb"|(?P<op>[" + _OP_FIRST + rb"][" + _REG + rb"]*)"
+    rb"|)"
+)
+_FAST_MARKERS = {"dopen": DICT_OPEN, "dclose": DICT_CLOSE,
+                 "aopen": ARRAY_OPEN, "aclose": ARRAY_CLOSE}
+
+# the plain bytes of a literal string, copied as one run
+_LITERAL_RUN_RE = re.compile(rb"[^()\\]+")
 
 _HEXDIGITS_RE = re.compile(rb"[0-9A-Fa-f\x00\t\n\x0c\r ]*")
 _HEX_VALUE = {c: int(chr(c), 16) for c in b"0123456789abcdefABCDEF"}
@@ -220,6 +263,26 @@ class Tokenizer:
         if self.pending:
             return self.pending.pop()
 
+        m = _FAST_RE.match(self.buf, self.pos)
+        self.pos = m.end()
+        kind = m.lastgroup
+        if kind == "int":
+            return int(m["int"])
+        if kind == "op":
+            raw = m["op"]
+            return Operator(raw.decode("utf-8") if 0x23 not in raw else self._unescape_name(raw))
+        if kind == "name":
+            raw = m["name"]
+            return raw.decode("utf-8") if 0x23 not in raw else self._unescape_name(raw)
+        if kind == "real":
+            return float(m["real"])
+        if kind is not None:
+            return _FAST_MARKERS[kind]
+        return self._next_slow()
+
+    def _next_slow(self):
+        """The full dispatch, for every token the fast path leaves
+        (and, on its own, a complete tokenizer over the same input)."""
         buf = self.buf
         self.pos = _SKIP_RE.match(buf, self.pos).end()
         if self.pos >= self.n:
@@ -296,10 +359,16 @@ class Tokenizer:
         depth = 1
         out = bytearray()
         n = self.n
+        run = _LITERAL_RUN_RE.match
         while depth > 0:
             if p >= n:
                 self.pos = p
                 self.error("Unterminated literal string")
+            m = run(buf, p)
+            if m:
+                out += m.group()
+                p = m.end()
+                continue
             c = buf[p]
             if c == 0x5C:  # backslash
                 p += 1

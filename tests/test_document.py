@@ -13,7 +13,8 @@ import pytest
 
 from pdf4py_ray.kernel import pdfgen
 from pdf4py_ray.kernel.document import PdfDocument
-from pdf4py_ray.kernel.model import Stream
+from pdf4py_ray.kernel.errors import PdfSyntaxError
+from pdf4py_ray.kernel.model import LiteralString, Ref, Stream
 
 
 def walk_all(doc: PdfDocument) -> int:
@@ -77,6 +78,59 @@ def test_object_streams_resolution():
     doc = PdfDocument(pdfgen.object_stream_pdf(("objstm text",)))
     assert doc.catalog()["Type"] == "Catalog"
     assert b"(objstm text)" in doc.page_content(doc.pages()[0])
+
+
+def test_object_stream_decoded_once_per_document(monkeypatch):
+    """Every compressed object of the 140-page ObjStm PDF lives in one
+    container; extracting the document decodes that container once (a
+    rescan per lookup decodes it once per compressed object), and a
+    second document decodes its own copy again."""
+    from pdf4py_ray.kernel import document
+    from pdf4py_ray.kernel.text import extract_pdf_text
+
+    container_decodes = []
+    base = document.decode_chain
+
+    def counting(stream_dict, data):
+        if stream_dict.get("Type") == "ObjStm":
+            container_decodes.append(len(data))
+        return base(stream_dict, data)
+
+    monkeypatch.setattr(document, "decode_chain", counting)
+    texts = tuple(f"page {i} of the object stream" for i in range(140))
+    data = pdfgen.object_stream_pdf(texts)
+    text, spans, _ = extract_pdf_text(data)
+    assert text == "\n".join(texts)
+    assert sum(kind == "page" for _, _, kind in spans) == 140
+    assert len(container_decodes) == 1
+    extract_pdf_text(data)
+    assert len(container_decodes) == 2
+
+
+def _objstm_doc(header: bytes, body: bytes, n: int, numbers) -> PdfDocument:
+    return PdfDocument(pdfgen.object_stream_header_pdf(header, body, n, numbers))
+
+
+def test_object_stream_first_entry_wins():
+    doc = _objstm_doc(b"10 0 10 8 ", b"(first) (second)", 2, [10])
+    assert doc.get_object(Ref(10, 0)) == LiteralString(b"first")
+
+
+def test_object_stream_malformed_pair_only_fails_numbers_after_it():
+    doc = _objstm_doc(b"10 0 /X 8 11 17 ", b"(before) (bad)   (after)", 3, [10, 11, 12])
+    assert doc.get_object(Ref(10, 0)) == LiteralString(b"before")
+    for number in (11, 12):  # after the malformed pair, or absent
+        with pytest.raises(PdfSyntaxError, match="Expected integer pairs in object-stream header"):
+            doc.get_object(Ref(number, 0))
+    assert doc.get_object(Ref(10, 0)) == LiteralString(b"before")
+
+
+def test_object_stream_missing_number():
+    doc = _objstm_doc(b"10 0 11 6 ", b"(ten) (eleven)", 2, [10, 11, 12])
+    assert doc.get_object(Ref(11, 0)) == LiteralString(b"eleven")
+    with pytest.raises(PdfSyntaxError, match="Compressed object not found in its object stream"):
+        doc.get_object(Ref(12, 0))
+    assert doc.get_object(Ref(10, 0)) == LiteralString(b"ten")
 
 
 def test_stream_length_by_reference():

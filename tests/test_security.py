@@ -3,9 +3,14 @@ round-trips, SASLprep cases, and end-to-end encrypted-document
 parsing — the analogue of the reference's
 ``tests/aes_unit_tests.py`` + ``tests/decrypt_unit_tests.py``."""
 
+import os
+import subprocess
+import sys
 from binascii import unhexlify
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdf4py_ray.kernel import pdfgen
 from pdf4py_ray.kernel.document import PdfDocument
@@ -79,6 +84,63 @@ def test_cbc_no_padding():
     iv = b"\x00" * 16
     data = b"x" * 32
     assert cbc_decrypt(cbc_encrypt(data, key, iv, padding=False), key, iv, padding=False) == data
+
+
+def test_rc4_empty_key_raises():
+    with pytest.raises(ZeroDivisionError, match="integer modulo by zero"):
+        rc4(b"data", b"")
+
+
+# -- cross-checks: round trips, and OpenSSL where ``cryptography`` is installed
+
+_AES_KEY = st.sampled_from((16, 24, 32)).flatmap(lambda n: st.binary(min_size=n, max_size=n))
+_IV = st.binary(min_size=16, max_size=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=_AES_KEY, iv=_IV, blocks=st.integers(0, 64), tail=st.integers(0, 15),
+       padding=st.booleans(), data=st.data())
+def test_cbc_roundtrip_every_key_size(key, iv, blocks, tail, padding, data):
+    n = 16 * blocks + (tail if padding else 0)
+    plain = data.draw(st.binary(min_size=n, max_size=n))
+    assert cbc_decrypt(cbc_encrypt(plain, key, iv, padding), key, iv, padding) == plain
+
+
+@pytest.fixture(scope="module")
+def openssl_ciphers():
+    return pytest.importorskip("cryptography.hazmat.primitives.ciphers")
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=_AES_KEY, iv=_IV,
+       cipher_text=st.integers(0, 64).flatmap(lambda b: st.binary(min_size=16 * b, max_size=16 * b)))
+def test_cbc_decrypt_matches_openssl(openssl_ciphers, key, iv, cipher_text):
+    c = openssl_ciphers
+    want = c.Cipher(c.algorithms.AES(key), c.modes.CBC(iv)).decryptor().update(cipher_text)
+    assert cbc_decrypt(cipher_text, key, iv, padding=False) == want
+
+
+# ``cryptography``'s ARC4 takes 40-, 56-, 64-, 80- and 128-bit keys up to 16 bytes
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from((5, 7, 8, 10, 16)).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+       data=st.binary(max_size=600))
+def test_rc4_matches_openssl(openssl_ciphers, key, data):
+    decrepit = pytest.importorskip("cryptography.hazmat.decrepit.ciphers.algorithms")
+    want = openssl_ciphers.Cipher(decrepit.ARC4(key), mode=None).encryptor().update(data)
+    assert rc4(data, key) == want
+
+
+def test_kernel_does_not_import_cryptography():
+    code = (
+        "import pkgutil, sys, importlib, pdf4py_ray.kernel as k\n"
+        "for m in pkgutil.walk_packages(k.__path__, 'pdf4py_ray.kernel.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'cryptography'))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # -- SASLprep (reference decrypt_unit_tests.py:61-70 semantics) ------------

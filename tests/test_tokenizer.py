@@ -3,6 +3,8 @@ reference suite (``/root/reference/tests/unit_tests.py:6-156``),
 re-expressed against our API."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdf4py_ray.kernel.errors import PdfLexError
 from pdf4py_ray.kernel.model import (
@@ -253,3 +255,44 @@ def test_error_message_carries_context():
         for _ in range(5):
             tok.next()
     assert "Position" in str(ei.value) and "context" in str(ei.value)
+
+
+# -- fast path against the full dispatch -------------------------------------
+
+# pieces that sit on the fast path's edges: literals with a regular tail,
+# numbers running into letters or a second point, a lone sign or point,
+# escaped and empty names, strings with escaped and nested parentheses,
+# comments, and bytes above 0x7E
+_PIECES = [
+    b"trueX", b"nullx", b"12abc", b"-.", b"+", b"4.", b"/A#20B", b"/", b"<<", b">>",
+    b"(a\\)b(c))", b"%c\n", b"\x80", b"\xfe", b"1.2.3", b"4e5", b"-.5", b"+17", b"0",
+    b"true", b"false", b"null", b"obj", b"endobj", b"stream\n", b"endstream", b"xref",
+    b"trailer", b"startxref", b"R", b"Tj", b"T*", b"'", b"#41", b"/#4", b"/N#41me",
+    b"[", b"]", b"{", b"}", b"<41 42>", b"<", b">", b"(", b")", b"\\", b"%", b"%%EOF",
+    b"q", b"BT", b"e", b"x", b" ", b"\n", b"\r", b"\t", b"\x00", b"\x0c",
+]
+
+
+def _tokenize(tok: Tokenizer, step) -> tuple:
+    """Every token with the cursor after it, then how the input ended."""
+    out = []
+    try:
+        while True:
+            out.append((step(), tok.pos))
+    except StopIteration:
+        return out, None
+    except Exception as e:  # noqa: BLE001 - the error itself is compared
+        return out, (type(e).__name__, str(e))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map(b"".join))
+def test_fast_path_equals_full_dispatch(data):
+    fast = Tokenizer(data)
+    slow = Tokenizer(data)
+    assert _tokenize(fast, fast.next) == _tokenize(slow, slow._next_slow)
+
+
+def test_fast_path_edge_tokens():
+    assert toks(b"trueX nullx 12abc 4. /A#20B / -.5") == [
+        True, Operator("X"), None, Operator("x"), 12, Operator("abc"), 4.0, "A B", "", -0.5]
