@@ -38,23 +38,17 @@ def _ship_package_by_value() -> None:
     if os.environ.get("PDF4PY_RAY_NO_BYVALUE"):
         return
     try:
+        import importlib
+        import pkgutil
+
         # Ray serializes with its *vendored* cloudpickle — register there
         from ray import cloudpickle
 
-        import pdf4py_ray  # noqa: F401 — ensures the root module is loaded
-        from pdf4py_ray import functions, kernel, pipelines, sources, stages  # noqa: F401
-        from pdf4py_ray.kernel import (  # noqa: F401
-            cmap, document, errors, filters, html_extract, model, objects,
-            pdfgen, text, tokenizer,
-        )
-        from pdf4py_ray.kernel.security import aes, handler, rc4  # noqa: F401
-        from pdf4py_ray.functions import hashing  # noqa: F401
-        from pdf4py_ray.pipelines import checkpoint, extract_pipeline  # noqa: F401
-        from pdf4py_ray.sources import transcripts  # noqa: F401
-        from pdf4py_ray.stages import (  # noqa: F401
-            dedup, extract, multimodal, partition, relational, similarity, textstats,
-        )
+        import pdf4py_ray
 
+        # every module of the package, so none is left out by name
+        for info in pkgutil.walk_packages(pdf4py_ray.__path__, "pdf4py_ray."):
+            importlib.import_module(info.name)
         for name, module in list(sys.modules.items()):
             if name == "pdf4py_ray" or name.startswith("pdf4py_ray."):
                 cloudpickle.register_pickle_by_value(module)

@@ -22,7 +22,9 @@ Parity quirks preserved (equality gate):
   number wins, a malformed pair raises "Expected integer pairs in
   object-stream header." only for numbers that do not appear before
   it, and a number absent from the header raises "Compressed object
-  not found in its object stream.".
+  not found in its object stream.";
+- a stream stored inside an object stream is a ``PdfSyntaxError``
+  (ISO 32000-1 §7.5.7 forbids it).
 
 Object streams are decoded once per document, not once per lookup:
 the first lookup into a container decodes it and reads its whole
@@ -432,7 +434,7 @@ class PdfDocument:
         payload = container.data()
         d = container.dictionary
         # no decrypt hook: the container payload is already plaintext
-        sub = ObjectParser(payload, stream_resolver=self._resolve_stream,
+        sub = ObjectParser(payload, stream_resolver=_stream_in_object_stream,
                            content_stream_mode=False)
         offsets: dict = {}
         header_error = None
@@ -516,3 +518,10 @@ _MISSING = object()
 # reference parity: lru_cache(maxsize=256) on parse_reference
 # (``/root/reference/pdf4py/parser.py:415``)
 _OBJECT_CACHE_SIZE = 256
+
+
+def _stream_in_object_stream(d: dict, data_start: int, obj_id):
+    """Stream resolver of an object-stream container's parser: ISO
+    32000-1 §7.5.7 forbids streams inside an object stream, and the
+    document's resolver would slice the file, not the decoded payload."""
+    raise PdfSyntaxError("Stream object found inside an object stream.")

@@ -442,8 +442,9 @@ class Tokenizer:
     def _scan_number(self, leading_digit: bool):
         m = _NUM_RE.match(self.buf, self.pos)
         text = m.group()
-        # a lone sign or point is not a number (``_lexer.py:453-454``)
-        if not leading_digit and len(text) == 1 and not text.isdigit():
+        # a sign or point run with no digit (``-``, ``.``, ``-.``) is not
+        # a number (``_lexer.py:453-454``)
+        if not leading_digit and not text.strip(b"+-."):
             self.error("Unexpected byte sequence where a number was expected")
         self.pos = m.end()
         if b"." in text:

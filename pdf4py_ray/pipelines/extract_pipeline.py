@@ -18,7 +18,11 @@ Lifecycle (SURVEY §3.4):
 Both ordered terminals tag rows with the same :func:`tag_sort_bucket`
 over split points from :func:`quantile_splits`, so bucket ``b`` holds
 exactly the ``conv_id`` values between split ``b-1`` and split ``b``
-and bucket order is global ``(conv_id, turn_idx)`` order.
+and bucket order is global ``(conv_id, turn_idx)`` order. The raw-PDF
+source (``sources.pdf_files.extract_pdf_corpus``) ends in the same
+:func:`range_sorted`: its listing comes from :func:`input_files`, and
+its split points are exact, from the listed ``conv_id`` values. No
+extraction path uses Ray's own ``Dataset.sort`` or ``repartition``.
 
 Every stage is a task stage: Ray starts task workers once per
 ``ray.init`` and reuses them, so an execution pays no actor start and
@@ -167,12 +171,12 @@ def _split_points_from_docs(sf_dir: str, num_buckets: int = 64) -> list:
 
 def sample_split_points(turns_dir: str, num_buckets: int = 64) -> list:
     """Range-sort split points: sample ``conv_id`` from a spread of up
-    to 8 of the input parquet files (:func:`input_parquet_files`;
+    to 8 of the input parquet files (:func:`input_files`;
     column-pruned, the first ``SPLIT_SAMPLE_ROWS`` rows of each) and
     take the :func:`quantile_splits` of the sample. At 10^12 turns this
     reads a few row groups of one string column — O(sample), never
     O(corpus)."""
-    return _sampled_split_points(turns_dir, *input_parquet_files(turns_dir), num_buckets)
+    return _sampled_split_points(turns_dir, *input_files(turns_dir, ".parquet"), num_buckets)
 
 
 def _sampled_split_points(turns_dir: str, filesystem, files: list, num_buckets: int) -> list:
@@ -329,22 +333,22 @@ def materialize_turns(sf_dir: str, out_dir: str, repeat: int = 1) -> str:
     return out_dir
 
 
-def input_parquet_files(turns_dir: str) -> tuple:
+def input_files(path: str, suffix: str) -> tuple:
     """(pyarrow FileSystem, ``FileInfo`` list sorted by path) of the
-    input Parquet files: ``turns_dir`` itself if it is a file, else the
-    ``.parquet`` files under it, recursively, as ``read_parquet`` reads
-    them. One listing, from which both the read sizing and the split
-    sample take their file set; the infos carry on-disk sizes, so no
-    footer is read."""
+    input files: ``path`` itself if it is a file, else the files under
+    it, recursively, whose lower-cased name ends in ``suffix`` (given in
+    lower case; Ray Data's extension filter also ignores case). One
+    listing, from which a pipeline takes both its file set and its
+    sizing; the infos carry on-disk sizes, so no file is opened."""
     from pyarrow import fs as pafs
 
-    filesystem, path = _resolve_fs(turns_dir)
-    info = filesystem.get_file_info(path)
+    filesystem, root = _resolve_fs(path)
+    info = filesystem.get_file_info(root)
     if info.type == pafs.FileType.File:
         return filesystem, [info]
     files = [
-        fi for fi in filesystem.get_file_info(pafs.FileSelector(path, recursive=True))
-        if fi.type == pafs.FileType.File and fi.base_name.endswith(".parquet")
+        fi for fi in filesystem.get_file_info(pafs.FileSelector(root, recursive=True))
+        if fi.type == pafs.FileType.File and fi.base_name.lower().endswith(suffix)
     ]
     return filesystem, sorted(files, key=lambda fi: fi.path)
 
@@ -406,7 +410,7 @@ def extraction_from_parquet(
     # before the read: the read copies Ray Data's context, and every
     # stage after it inherits that copy
     apply_engine_defaults()
-    filesystem, files = input_parquet_files(turns_dir)
+    filesystem, files = input_files(turns_dir, ".parquet")
     tasks = read_task_count(sum(fi.size for fi in files), _task_slots(concurrency),
                             rd.DataContext.get_current().target_max_block_size)
     turns = rd.read_parquet(

@@ -1,28 +1,25 @@
-"""Raw-PDF-corpus source: a directory of ``*.pdf`` files → the turn
-table the extraction pipeline consumes.
+"""Raw-PDF-corpus source: a local directory of ``*.pdf`` files (or one
+file) → extracted-text rows in stable ``(conv_id, turn_idx)`` order.
 
 This is the engine's analogue of the reference's test-corpus reader
 (``tests/functional_tests.py:27-33`` — open every file under
-``tests/pdfs``): a user with a directory of PDFs gets the same
-pipeline as transcript-embedded payloads. Built on
-``ray.data.read_binary_files`` (streaming, one block per file group,
-no driver-side file loop); each file becomes a single-turn
-conversation whose payload is the standard base64 PDF envelope, so
-``ExtractTurns`` needs no special casing. Its ``conv_id`` is ``file-``
-plus the file's path below the corpus root without the extension
-(``a.pdf`` → ``file-a``, ``sub/a.pdf`` → ``file-sub/a``), so
-same-named files in different directories stay distinct.
+``tests/pdfs``). The driver lists the files and their sizes
+(``input_files``), the same list-on-driver / read-on-worker split Ray's
+own file datasources use, and cuts the listing into at most
+``LISTING_BLOCKS`` blocks, so no file byte enters the object store.
+``ExtractPdfFromPath`` runs as a task stage: each worker process builds
+one extractor per pipeline build and mmaps the files it is given. The
+output is :func:`range_sorted` over split points taken from the
+listing's own ``conv_id`` values, which the driver already holds.
 
-The streaming variant ships only paths and runs ``ExtractPdfFromPath``
-as a task stage: each worker process builds one extractor per pipeline
-build and mmaps the files it is given.
+Each file is a single-turn conversation. Its ``conv_id`` is ``file-``
+plus the file's path below the corpus root without the extension
+(``a.pdf`` → ``file-a``, ``sub/a.pdf`` → ``file-sub/a``), so same-named
+files in different directories stay distinct.
 """
 
 from __future__ import annotations
 
-import base64
-import functools
-import json
 import os
 from datetime import datetime
 from typing import Optional
@@ -31,6 +28,11 @@ import numpy as np
 import pyarrow as pa
 
 _EPOCH = datetime(2026, 1, 1)
+
+# blocks the listing is cut into (one extraction task each, at most)
+LISTING_BLOCKS = 64
+# files per extraction batch
+BATCH_SIZE = 8
 
 
 def pdf_conv_id(path: str, root: str) -> str:
@@ -41,104 +43,25 @@ def pdf_conv_id(path: str, root: str) -> str:
 
 
 def _corpus_root(path: str) -> str:
-    """The directory conv_ids are relative to, in the form Ray Data
-    reports file paths (URI scheme stripped); a single ``.pdf`` path
-    is relative to its directory."""
+    """The directory conv_ids are relative to (URI scheme stripped); a
+    single file is relative to its directory."""
     root = path.split("://", 1)[-1]
-    return os.path.dirname(root) if root.lower().endswith(".pdf") else root
-
-
-def pdf_files_to_turns(batch: pa.Table, root: str) -> pa.Table:
-    """(bytes, path) rows of the corpus under ``root`` → transcript-turn
-    rows."""
-    from .transcripts import TURN_SCHEMA
-
-    rows = []
-    for data, path in zip(batch["bytes"].to_pylist(), batch["path"].to_pylist()):
-        envelope = json.dumps({"pdf_b64": base64.b64encode(data).decode("ascii")})
-        rows.append(
-            {
-                "conv_id": pdf_conv_id(path, root),
-                "turn_idx": 0,
-                "role": "tool",
-                "text": envelope,
-                "tool": "pdf_reader",
-                "ts": _EPOCH,
-            }
-        )
-    return pa.Table.from_pylist(rows, schema=TURN_SCHEMA)
-
-
-def read_pdf_corpus(path: str):
-    """Lazy Dataset of transcript turns, one per ``*.pdf`` under
-    ``path`` (recursive)."""
-    import ray.data as rd
-
-    from ..config import apply_engine_defaults
-
-    apply_engine_defaults()
-    files = rd.read_binary_files(
-        path, include_paths=True, file_extensions=["pdf"]
-    )
-    return files.map_batches(
-        functools.partial(pdf_files_to_turns, root=_corpus_root(path)),
-        batch_format="pyarrow",
-    )
-
-
-def extract_pdf_corpus(path: str, **kwargs):
-    """End-to-end: PDF directory → extracted text Dataset (same stages
-    as the transcript pipeline)."""
-    from ..pipelines.extract_pipeline import SORT_KEYS, extraction_dataset
-
-    ds = extraction_dataset(read_pdf_corpus(path), **kwargs)
-    return ds.sort(SORT_KEYS)
-
-
-# ------------------------------------------------------- streaming variant
-
-
-def list_pdf_paths(path: str, parallelism: int = 64):
-    """Metadata-only Dataset of ``{path, n_bytes}`` rows for every
-    ``*.pdf`` under ``path`` (recursive, deterministic order).
-
-    The driver lists paths and workers open the files — the same
-    list-on-driver / read-on-worker split Ray's own file datasources
-    use — so no file byte ever enters the object store from the
-    listing. Rows are spread across ``parallelism`` blocks so the
-    downstream extraction tasks get work from the first block."""
-    import ray.data as rd
-
-    paths, sizes = [], []
-    for root, dirs, files in os.walk(path):
-        dirs.sort()
-        for f in sorted(files):
-            if f.lower().endswith(".pdf"):
-                p = os.path.join(root, f)
-                paths.append(p)
-                sizes.append(os.path.getsize(p))
-    table = pa.table({
-        "path": pa.array(paths, type=pa.string()),
-        "n_bytes": pa.array(sizes, type=pa.int64()),
-    })
-    ds = rd.from_arrow(table)
-    return ds.repartition(min(len(paths), parallelism)) if paths else ds
+    return os.path.dirname(root) if os.path.isfile(root) else root
 
 
 class ExtractPdfFromPath:
-    """Task stage: ``{path}`` rows of the corpus under ``root`` →
-    extracted-text rows with the transcript pipeline's output schema.
+    """Task stage: ``{path, n_bytes}`` rows of the corpus under ``root``
+    → extracted-text rows with the transcript pipeline's output schema.
 
-    Unlike ``read_pdf_corpus`` (which ships each file's bytes through
-    the object store inside an Arrow cell), each worker binds the
-    document to a read-only mmap locally (``PdfDocument.from_file``) —
-    the OS pages in only the bytes the xref walk and referenced
-    objects actually touch, so a multi-GB PDF costs its *used* pages,
-    not its size. The engine-side analogue of the reference Lexer's
-    ``io.BufferedReader`` binding (``/root/reference/pdf4py/_lexer.py:69-106``)
-    lifted into a distributed source. Errors are total: a corrupt file
-    yields a ``status="error"`` row, and the mmap/fd are released per
-    file (``PdfDocument.close``) so long corpus scans don't leak fds."""
+    Each worker binds the document to a read-only mmap locally
+    (``PdfDocument.from_file``) — the OS pages in only the bytes the
+    xref walk and referenced objects actually touch, so a multi-GB PDF
+    costs its *used* pages, not its size. The engine-side analogue of
+    the reference Lexer's ``io.BufferedReader`` binding
+    (``pdf4py/_lexer.py:69-106``) lifted into a distributed source.
+    Errors are total: a corrupt file yields a ``status="error"`` row,
+    and the mmap/fd are released per file (``PdfDocument.close``) so
+    long corpus scans don't leak fds."""
 
     def __init__(self, root: str) -> None:
         from ..kernel.document import PdfDocument
@@ -181,22 +104,38 @@ class ExtractPdfFromPath:
         return append_output(keys, rows)
 
 
-def extract_pdf_corpus_streaming(path: str, concurrency: Optional[int] = None,
-                                 batch_size: int = 8, parallelism: int = 64):
-    """End-to-end streaming: PDF directory → extracted text Dataset,
-    no file bytes through the object store (paths shuffle, workers
-    mmap). Output rows match ``extract_pdf_corpus`` minus ``part_id``
-    (there is no turn table to partition). ``concurrency`` caps the
-    extraction tasks (``None``: no cap)."""
+def extract_pdf_corpus(path: str, concurrency: Optional[int] = None):
+    """PDF file or directory (recursive) → extracted-text Dataset,
+    consumed in ascending ``(conv_id, turn_idx)`` order (the
+    :func:`range_sorted` output, ``sort_bucket`` column included).
+    ``concurrency`` caps the extraction tasks (``None``: no cap).
+
+    ``path`` must be on the local filesystem (a bare path or a
+    ``file://`` URI): the workers mmap the files; any other filesystem
+    raises ``ValueError`` here, when the pipeline is built."""
+    import ray.data as rd
+
     from ..config import apply_engine_defaults
     from ..functions.broadcast import task_stage
-    from ..pipelines.extract_pipeline import SORT_KEYS
+    from ..pipelines.extract_pipeline import input_files, quantile_splits, range_sorted
 
+    if "://" in path and not path.startswith("file://"):
+        raise ValueError(f"PDF corpus must be on the local filesystem, got {path!r}")
     apply_engine_defaults()
-    ds = list_pdf_paths(path, parallelism=parallelism).map_batches(
-        task_stage("extract_pdf_from_path", ExtractPdfFromPath, _corpus_root(path)),
+    _, files = input_files(path, ".pdf")
+    root = _corpus_root(path)
+    listing = pa.table({
+        "path": pa.array([fi.path for fi in files], type=pa.string()),
+        "n_bytes": pa.array([fi.size for fi in files], type=pa.int64()),
+    })
+    n, k = listing.num_rows, max(1, min(listing.num_rows, LISTING_BLOCKS))
+    bounds = [i * n // k for i in range(k + 1)]
+    ds = rd.from_arrow([listing.slice(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])])
+    ds = ds.map_batches(
+        task_stage("extract_pdf_from_path", ExtractPdfFromPath, root),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=BATCH_SIZE,
         concurrency=concurrency,
     )
-    return ds.sort(SORT_KEYS)
+    conv_ids = sorted(pdf_conv_id(fi.path, root) for fi in files)
+    return range_sorted(ds, quantile_splits(conv_ids, LISTING_BLOCKS))

@@ -133,6 +133,16 @@ def test_object_stream_missing_number():
     assert doc.get_object(Ref(10, 0)) == LiteralString(b"ten")
 
 
+def test_stream_inside_object_stream_is_syntax_error():
+    """ISO 32000-1 §7.5.7 forbids streams in object streams; such a
+    stream must not read the file's bytes at the payload offset."""
+    doc = _objstm_doc(b"10 0 11 37 ", b"<< /Length 3 >>\nstream\nabc\nendstream (after)", 2,
+                      [10, 11])
+    with pytest.raises(PdfSyntaxError, match="inside an object stream"):
+        doc.get_object(Ref(10, 0))
+    assert doc.get_object(Ref(11, 0)) == LiteralString(b"after")
+
+
 def test_stream_length_by_reference():
     doc = PdfDocument(pdfgen.stream_length_ref_pdf())
     assert b"(Length by reference)" in doc.page_content(doc.pages()[0])

@@ -397,17 +397,28 @@ def test_input_parquet_files_lists_a_file_or_a_tree(tmp_path):
     Split sampling reads the same listing."""
     import pyarrow.parquet as pq
 
-    from pdf4py_ray.pipelines.extract_pipeline import input_parquet_files, sample_split_points
+    from pdf4py_ray.pipelines.extract_pipeline import input_files, sample_split_points
 
     (tmp_path / "sub").mkdir()
     for name, ids in (("b.parquet", ["b"]), ("sub/a.parquet", ["a", "c"])):
         pq.write_table(pa.table({"conv_id": ids}), str(tmp_path / name))
     (tmp_path / "_DONE.json").write_text("{}")
 
-    _, files = input_parquet_files(str(tmp_path))
+    _, files = input_files(str(tmp_path), ".parquet")
     assert [os.path.relpath(f.path, tmp_path) for f in files] == ["b.parquet", "sub/a.parquet"]
     assert [f.size for f in files] == [os.path.getsize(tmp_path / "b.parquet"),
                                        os.path.getsize(tmp_path / "sub/a.parquet")]
-    _, (one,) = input_parquet_files(str(tmp_path / "b.parquet"))
+    _, (one,) = input_files(str(tmp_path / "b.parquet"), ".parquet")
     assert one.size == os.path.getsize(tmp_path / "b.parquet")
     assert sample_split_points(str(tmp_path), num_buckets=64) == ["b", "c"]
+
+
+def test_input_files_suffix_ignores_case(tmp_path):
+    """The suffix matches in any case, as Ray Data's extension filter
+    does; other files are left out."""
+    from pdf4py_ray.pipelines.extract_pipeline import input_files
+
+    for name in ("x.parquet", "Y.PARQUET", "z.parquet.tmp", "w.pdf"):
+        (tmp_path / name).write_bytes(b"")
+    _, files = input_files(str(tmp_path), ".parquet")
+    assert [f.base_name for f in files] == ["Y.PARQUET", "x.parquet"]

@@ -89,6 +89,33 @@ def test_task_stage_reuses_one_instance_per_worker(ray_session):
             cloudpickle.register_pickle_by_value(module)
 
 
+_BY_VALUE_SCRIPT = textwrap.dedent("""
+    import pkgutil
+    import sys
+    sys.path.insert(0, {repo!r})
+    from ray import cloudpickle
+
+    import __ray_entry__  # noqa: F401 — registers the package on import
+    import pdf4py_ray
+
+    walked = {{m.name for m in pkgutil.walk_packages(pdf4py_ray.__path__, "pdf4py_ray.")}}
+    assert "pdf4py_ray.sources.pdf_files" in walked
+    print("MISSING", sorted(walked - set(cloudpickle.list_registry_pickle_by_value())))
+""")
+
+
+def test_ship_package_by_value_registers_every_module():
+    """Importing ``__ray_entry__`` registers every module of the
+    package for by-value pickling. A fresh interpreter, so only what
+    the entry module imports is loaded and the session's registry is
+    untouched."""
+    env = {k: v for k, v in os.environ.items() if k != "PDF4PY_RAY_NO_BYVALUE"}
+    out = subprocess.run([sys.executable, "-c", _BY_VALUE_SCRIPT.format(repo=REPO)],
+                         capture_output=True, text=True, env=env, cwd=REPO, timeout=120)
+    assert out.returncode == 0, out.stderr[-3000:]
+    assert "MISSING []" in out.stdout, out.stdout
+
+
 def _map_ops(ds) -> list:
     """(name, runs on actors) of every map operator in a lazy plan."""
     from ray.data._internal.compute import ActorPoolStrategy
@@ -107,11 +134,11 @@ def test_stages_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
 
     from pdf4py_ray.kernel import pdfgen
     from pdf4py_ray.pipelines.extract_pipeline import extraction_dataset
-    from pdf4py_ray.sources.pdf_files import extract_pdf_corpus_streaming
+    from pdf4py_ray.sources.pdf_files import extract_pdf_corpus
     from pdf4py_ray.sources.transcripts import synth_transcripts
     from pdf4py_ray.stages import dedup
 
-    for fn in (extraction_dataset, extract_pdf_corpus_streaming, dedup.minhash_dup_pairs):
+    for fn in (extraction_dataset, extract_pdf_corpus, dedup.minhash_dup_pairs):
         assert inspect.signature(fn).parameters["concurrency"].default is None
 
     turns = synth_transcripts(SF_DIR, ray_data=False).slice(0, 40)
@@ -121,7 +148,7 @@ def test_stages_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
     assert ds.count() == 40
 
     (tmp_path / "a.pdf").write_bytes(pdfgen.minimal_pdf(("alpha text",)))
-    ds = extract_pdf_corpus_streaming(str(tmp_path))
+    ds = extract_pdf_corpus(str(tmp_path))
     assert ("MapBatches(extract_pdf_from_path)", False) in _map_ops(ds)
     assert not [op for op in _map_ops(ds) if op[1]]
     assert ds.take_all()[0]["extracted_text"] == "alpha text"

@@ -60,6 +60,15 @@ def test_lone_sign_is_error():
         toks(b"+ ")
 
 
+@pytest.mark.parametrize("data", [b"-.", b"+.", b"-. 1"])
+def test_sign_and_point_without_digit_is_lex_error(data):
+    """A sign followed by a point has no digit: a positioned
+    ``PdfLexError``, on the fast path and on the full dispatch alike."""
+    for read in (Tokenizer.next, Tokenizer._next_slow):
+        with pytest.raises(PdfLexError, match="number was expected"):
+            read(Tokenizer(data))
+
+
 def test_literal_string_plain():
     assert one(b"(This is a string)") == LiteralString(b"This is a string")
 
