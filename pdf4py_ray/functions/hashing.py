@@ -11,6 +11,11 @@ from hashlib import blake2b, md5
 
 import numpy as np
 
+try:  # CPython's own MD5 costs about half of OpenSSL's per short key
+    from _md5 import md5 as _md5
+except ImportError:  # pragma: no cover - interpreters built without it
+    _md5 = md5
+
 _MERSENNE_61 = (1 << 61) - 1
 
 
@@ -30,6 +35,14 @@ def md5_lower64(s) -> int:
     if isinstance(s, str):
         s = s.encode("utf-8", "surrogatepass")
     return int.from_bytes(md5(s).digest()[8:16], "little")
+
+
+def md5_lower64_array(strings) -> np.ndarray:
+    """:func:`md5_lower64` of each string, as one uint64 array: one
+    digest per string, the joined digests viewed as little-endian
+    words, of which every second one is bytes 8..16."""
+    digests = b"".join([_md5(s.encode("utf-8", "surrogatepass")).digest() for s in strings])
+    return np.frombuffer(digests, dtype="<u8")[1::2].astype(np.uint64)
 
 
 _POLY_P = np.uint64(0x100000001B3)  # FNV-1a 64-bit prime (odd → invertible mod 2^64)
@@ -194,26 +207,49 @@ def minhash_params(num_perm: int, seed: int = 42):
     return a, b
 
 
-def minhash_signature(shingle_hashes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """MinHash signature of one document's shingle-hash set.
-
-    ``h_i(x) = a_i * x + b_i (mod 2^64)`` with odd ``a_i`` — a fully
-    vectorized (num_perm × n_shingles) uint64 broadcast, minimised
-    over the shingles.
-    """
-    if len(shingle_hashes) == 0:
-        return np.full(len(a), np.iinfo(np.uint64).max, dtype=np.uint64)
-    x = shingle_hashes.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        vals = a[:, None] * x[None, :] + b[:, None]
-    return vals.min(axis=1)
+# shingle columns per vectorized multiply-add: a (num_perm, chunk)
+# uint64 block of 4 MB at 64 permutations
+MINHASH_CHUNK = 1 << 13
 
 
-def band_hashes(signature: np.ndarray, num_bands: int) -> list:
-    """LSH band digests of a MinHash signature."""
-    rows = len(signature) // num_bands
-    out = []
-    for band in range(num_bands):
-        chunk = signature[band * rows : (band + 1) * rows]
-        out.append(int.from_bytes(blake2b(chunk.tobytes(), digest_size=8).digest(), "big") >> 1)
-    return out
+def minhash_signatures(hashes: np.ndarray, offsets: np.ndarray, a: np.ndarray,
+                       b: np.ndarray, chunk: int = MINHASH_CHUNK) -> np.ndarray:
+    """``(docs, num_perm)`` MinHash signatures of a batch of documents.
+
+    Document ``i``'s shingle hashes are ``hashes[offsets[i]:offsets[i+1]]``
+    (a repeated hash changes nothing). ``h_j(x) = a_j * x + b_j (mod
+    2^64)`` with odd ``a_j``, minimised over each document's shingles.
+    The hashes go through ``chunk`` at a time as one (num_perm × chunk)
+    multiply-add, minimised per document with ``np.minimum.reduceat``;
+    a document that straddles two chunks takes the minimum of both
+    parts. A document without shingles keeps the all-max row."""
+    hashes = np.asarray(hashes, dtype=np.uint64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    sigs = np.full((len(offsets) - 1, len(a)), np.iinfo(np.uint64).max, dtype=np.uint64)
+    docs = np.flatnonzero(offsets[1:] > offsets[:-1])
+    starts, ends = offsets[docs], offsets[docs + 1]
+    vals = np.empty((len(a), min(chunk, len(hashes))), dtype=np.uint64)
+    for lo in range(0, len(hashes), chunk):
+        hi = min(lo + chunk, len(hashes))
+        first = np.searchsorted(ends, lo, side="right")  # docs ending after lo
+        last = np.searchsorted(starts, hi)  # ... and starting before hi
+        block = vals[:, : hi - lo]
+        with np.errstate(over="ignore"):
+            np.multiply(a[:, None], hashes[None, lo:hi], out=block)
+        block += b[:, None]
+        cut = np.maximum(starts[first:last], lo) - lo
+        rows = docs[first:last]
+        sigs[rows] = np.minimum(sigs[rows], np.minimum.reduceat(block, cut, axis=1).T)
+    return sigs
+
+
+def band_hash_matrix(sigs: np.ndarray, num_bands: int) -> np.ndarray:
+    """``(docs, num_bands)`` int64 LSH band digests of a signature
+    matrix: the 63-bit blake2b digest of each band's row bytes."""
+    sigs = np.ascontiguousarray(sigs, dtype=np.uint64)
+    step = sigs.shape[1] // num_bands * 8
+    raw = memoryview(sigs.tobytes())
+    digests = b"".join([blake2b(raw[i : i + step], digest_size=8).digest()
+                        for i in range(0, len(raw), step)])
+    return (np.frombuffer(digests, dtype=">u8") >> 1).astype(np.int64).reshape(
+        len(sigs), num_bands)

@@ -1,10 +1,9 @@
 """HTML main-content extraction via DOM heuristics.
 
 New capability (BASELINE.json ``north_star``; the reference has no
-HTML handling at all). Stdlib-only: ``html.parser`` builds a tolerant
-DOM; candidate scoring uses text density vs link density vs tag depth
-(the classic boilerplate-removal signals from the public
-Boilerpipe/Readability literature).
+HTML handling at all). Stdlib-only; candidate scoring uses text
+density vs link density vs tag depth (the classic boilerplate-removal
+signals from the public Boilerpipe/Readability literature).
 
 Extraction policy (our spec, pinned by golden tests):
 
@@ -12,19 +11,49 @@ Extraction policy (our spec, pinned by golden tests):
   button/svg/template/head`` subtrees are dropped outright;
 - candidate containers are ``body main article div section td``;
   score = text_length − 2 × link_text_length; the winner is the
-  highest score, ties broken toward the *deepest* node, then document
-  order — so a tight ``<article>`` beats the ``<body>`` that merely
-  contains it;
+  highest score, ties broken toward the *deepest* node, then the
+  first in document order — so a tight ``<article>`` beats the
+  ``<body>`` that merely contains it; with no candidate the whole
+  document is rendered;
 - block-level boundaries become newlines, whitespace is collapsed,
   lines that are >66% link text with fewer than 10 words are dropped
   as residual boilerplate;
 - spans (character offsets into the final text) are emitted per
   output line with kind ``line``.
+
+Two implementations give the same ``(text, spans)``:
+
+- **The one-pass scanner** (:func:`_scan`) is tried first. One
+  compiled regex tokenizes the page (``findall``) and accepts a strict
+  grammar and nothing else: text without ``<`` (passed through
+  ``html.unescape`` when it holds ``&``); start tags with quoted or
+  unquoted attributes and an optional ``/>``; ``</name>`` end tags;
+  ``<!-- -->`` comments and ``<!doctype>``; ``script``/``style`` raw
+  text up to its end tag, as ``html.parser`` finds it. A catch-all
+  group takes the rest of the page at the first token outside the
+  grammar, so tokenizing stops there. It keeps the
+  open-element stack by the DOM builder's rules (void and
+  self-closing tags are not pushed, an end tag pops to the nearest
+  open match, a stray end tag is ignored, depth is the stack height)
+  and scores each candidate while the tokens stream past: a text
+  chunk's collapsed length counts toward every open candidate, as
+  link text only under an ``a`` opened inside that candidate, and not
+  at all while a blacklisted element is open. Only the winner's
+  range of recorded events is rendered.
+- **The DOM path** (:func:`_extract_dom`): ``html.parser`` builds a
+  tolerant ``_Node`` tree, which is measured, searched for candidates
+  and rendered. It takes any document the scanner's grammar rejects
+  (a bare ``<``, ``<?pi>``, ``<![CDATA[``, a bogus comment, an
+  unclosed ``script``, unusual attribute syntax...), and the tests
+  use it as the scanner's reference. Its traversals use explicit
+  stacks, not recursion, so nesting depth is bounded by memory, not
+  by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+from html import unescape
 from html.parser import HTMLParser
 from typing import List, Optional, Tuple
 
@@ -43,6 +72,189 @@ VOID_TAGS = frozenset("br hr img input meta link area base col embed source trac
 CANDIDATE_TAGS = frozenset("body main article div section td".split())
 
 _WS_RE = re.compile(r"[ \t\r\n\f\v]+")
+
+
+def _collapsed_len(text: str) -> int:
+    """Length of ``text`` with whitespace runs collapsed and stripped."""
+    return len(_WS_RE.sub(" ", text).strip())
+
+
+def _finish(lines: List[Tuple[str, int]]) -> Tuple[str, List[Span]]:
+    """Rendered ``(line, link_chars)`` → ``(text, spans)``: residual
+    link-farm lines dropped, one ``line`` span per kept line."""
+    out: List[str] = []
+    spans: List[Span] = []
+    offset = 0
+    for text, link_chars in lines:
+        n = len(text)
+        if link_chars / n > 0.66 and text.count(" ") < 9:
+            continue  # residual link-farm line (under 10 words)
+        if out:
+            offset += 1  # the joining newline
+        spans.append((offset, offset + n, "line"))
+        out.append(text)
+        offset += n
+    return "\n".join(out), spans
+
+
+def extract_html_text(html: str) -> Tuple[str, List[Span]]:
+    """Main-content text + line spans from an HTML document."""
+    lines = _scan(html)
+    if lines is None:
+        lines = _extract_dom(html)
+    return _finish(lines)
+
+
+# ------------------------------------------------------------ the scanner
+
+_BLOCK, _BLACK, _CAND, _LINK, _VOID = 1, 2, 4, 8, 16
+_FLAGS: dict = {}
+for _names, _bit in ((BLOCK_TAGS, _BLOCK), (BLACKLIST, _BLACK), (CANDIDATE_TAGS, _CAND),
+                     (("a",), _LINK), (VOID_TAGS, _VOID)):
+    for _name in _names:
+        _FLAGS[_name] = _FLAGS.get(_name, 0) | _bit
+
+# Whitespace that str.split()/strip() know and _WS_RE does not: a chunk
+# free of it (and of '&') collapses as " ".join(chunk.split())
+_ODD_WS = "\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000"
+_SP = "[ \t\n\r\f]"
+_NAME = "[a-zA-Z][-.a-zA-Z0-9:_]*"
+_ATTR = (rf"{_SP}+[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+         rf"(?:{_SP}*={_SP}*(?:\"[^\"<>]*\"|'[^'<>]*'|[^\s\"'=<>`/]+(?={_SP}|>)))?")
+_RAW = "|".join(  # script/style raw text, ended where html.parser's CDATA mode ends it
+    rf"<(?i:{tag})(?:{_ATTR})*{_SP}*>(?s:.*?)</\s*(?i:{tag})\s*>" for tag in ("script", "style"))
+_TOKEN_RE = re.compile(
+    rf"([^<&{_ODD_WS}]+)(?![^<])"                     # 1 plain text
+    r"|([^<]+)"                                       # 2 text with '&' or odd whitespace
+    rf"|{_RAW}"                                       # raw-text element (skipped: blacklisted)
+    rf"|<(?!(?i:script|style)\b)({_NAME})(?:{_ATTR})*{_SP}*(/?)>"  # 3 start tag, 4 its '/'
+    rf"|</({_NAME}){_SP}*>"                           # 5 end tag
+    # comment (ignored); html.parser versions differ on `<!-->` and `<!--->`
+    r"|<!--(?!-?>)(?:[^-]|-(?!-))*-->"
+    r"|<![dD][oO][cC][tT][yY][pP][eE][^>]*>"           # doctype (ignored)
+    r"|([\s\S]+)"                                     # 6 outside the grammar: ends the scan
+)
+_EOF = ("", "", "", "", "#eof", "")  # closes every open element
+
+
+def _scan(html: str) -> Optional[List[Tuple[str, int]]]:
+    """The winner's rendered ``(line, link_chars)`` lines in one pass,
+    or ``None`` when ``html`` leaves the scanner's grammar."""
+    flags_of = _FLAGS.get
+    tags = ["#root"]  # open elements; slot 0 is the root, depth = slot
+    flags = [0]
+    events: list = []  # rendered text chunks; None = a block boundary
+    link_at: dict = {}  # event index → slot of the deepest open <a>
+    cands: list = []  # open candidates: [slot, total at open, link, first event, order]
+    a_slots: list = []  # slots of the open <a> elements
+    blocked = 0  # open blacklisted elements
+    total = 0  # collapsed text length seen outside blacklisted elements
+    order = 0
+    best = None  # ((score, depth, -order), first event, end event, slot)
+    tokens = _TOKEN_RE.findall(html)
+    tokens.append(_EOF)
+    for text, other, name, slash, end_name, bad in tokens:
+        if text or other:
+            if blocked:
+                continue
+            if text:
+                c = len(" ".join(text.split()))
+            else:
+                text = unescape(other) if "&" in other else other
+                c = _collapsed_len(text)
+            events.append(text)
+            total += c
+            if a_slots:
+                a = a_slots[-1]
+                link_at[len(events) - 1] = a
+                for rec in cands:
+                    if rec[0] >= a:
+                        break
+                    rec[2] += c
+            continue
+        if name:
+            name = name.lower()
+            f = flags_of(name, 0)
+            leaf = slash or f & _VOID
+            if blocked or f & _BLACK:
+                if not leaf:
+                    tags.append(name)
+                    flags.append(f)
+                    if f & _BLACK:
+                        blocked += 1
+                continue
+            if f & _BLOCK:
+                events.append(None)
+            if f & _CAND:
+                if leaf:  # an empty candidate scores 0
+                    key = (0, len(tags), -order)
+                    if best is None or key > best[0]:
+                        best = (key, len(events), len(events), len(tags))
+                else:
+                    cands.append([len(tags), total, 0, len(events), order])
+                order += 1
+            if leaf:
+                if f & _BLOCK:
+                    events.append(None)
+                continue
+            if f & _LINK:
+                a_slots.append(len(tags))
+            tags.append(name)
+            flags.append(f)
+            continue
+        if bad:
+            return None
+        if not end_name:
+            continue  # comment, doctype or raw-text element
+        if end_name == "#eof":
+            i = 1
+        else:
+            end_name = end_name.lower()
+            i = len(tags) - 1
+            while i > 0 and tags[i] != end_name:
+                i -= 1
+            if i == 0:
+                continue  # stray end tag
+        while len(tags) > i:
+            tags.pop()
+            f = flags.pop()
+            if not f:
+                continue
+            if f & _BLACK:
+                blocked -= 1
+                continue
+            if blocked:
+                continue
+            if f & _CAND:
+                slot, at_open, link, first, seq = cands.pop()
+                key = (total - at_open - 2 * link, slot, -seq)
+                if best is None or key > best[0]:
+                    best = (key, first, len(events), slot)
+            if f & _LINK:
+                a_slots.pop()
+            if f & _BLOCK:
+                events.append(None)
+
+    first, end, slot = best[1:] if best else (0, len(events), 0)
+    lines: List[Tuple[str, int]] = []
+    buf: List[str] = []
+    link_chars = 0
+    for idx in range(first, end + 1):
+        text = events[idx] if idx < end else None
+        if text is not None:
+            buf.append(text)
+            if link_at.get(idx, 0) > slot:
+                link_chars += _collapsed_len(text)
+        elif buf:
+            line = _WS_RE.sub(" ", "".join(buf)).strip()
+            if line:
+                lines.append((line, link_chars))
+            buf = []
+            link_chars = 0
+    return lines
+
+
+# ----------------------------------------------------------- the DOM path
 
 
 class _Node:
@@ -84,110 +296,85 @@ class _DomBuilder(HTMLParser):
             self.stack[-1].children.append(data)
 
 
-def _measure(node: _Node, in_link: bool = False) -> Tuple[int, int]:
-    """(total_text_chars, link_text_chars) under ``node``, skipping
-    blacklisted subtrees; whitespace runs count as one char."""
-    total = link = 0
-    for child in node.children:
-        if isinstance(child, str):
-            n = len(_WS_RE.sub(" ", child).strip())
-            total += n
-            if in_link:
-                link += n
-        elif child.tag not in BLACKLIST:
-            t, l = _measure(child, in_link or child.tag == "a")
-            total += t
-            link += l
-    return total, link
-
-
-def _collect_candidates(node: _Node, out: list) -> None:
-    for child in node.children:
-        if isinstance(child, _Node) and child.tag not in BLACKLIST:
-            if child.tag in CANDIDATE_TAGS:
-                out.append(child)
-            _collect_candidates(child, out)
-
-
-class _Renderer:
-    """Render a subtree to lines of (text, link_char_count)."""
-
-    def __init__(self) -> None:
-        self.lines: List[Tuple[str, int]] = []
-        self._buf: List[str] = []
-        self._link_chars = 0
-
-    def _flush(self) -> None:
-        text = _WS_RE.sub(" ", "".join(self._buf)).strip()
-        if text:
-            self.lines.append((text, self._link_chars))
-        self._buf = []
-        self._link_chars = 0
-
-    def render(self, node: _Node, in_link: bool = False) -> None:
+def _measure(root: _Node) -> Tuple[list, dict]:
+    """The candidates under ``root`` in document order, skipping
+    blacklisted subtrees, and ``{id(node): (total_chars, link_chars)}``
+    for every node: text under the node, and the part of it under an
+    ``a`` below the node. Whitespace runs count as one char."""
+    cands: list = []
+    sums: dict = {}
+    stack = [(root, False)]  # (node, children done)
+    while stack:
+        node, done = stack.pop()
+        if not done:
+            stack.append((node, True))
+            for child in reversed(node.children):
+                if isinstance(child, _Node) and child.tag not in BLACKLIST:
+                    stack.append((child, False))
+            if node.tag in CANDIDATE_TAGS:
+                cands.append(node)
+            continue
+        total = link = 0
         for child in node.children:
             if isinstance(child, str):
-                self._buf.append(child)
-                if in_link:
-                    self._link_chars += len(_WS_RE.sub(" ", child).strip())
-                continue
-            if child.tag in BLACKLIST:
-                continue
-            is_block = child.tag in BLOCK_TAGS
+                total += _collapsed_len(child)
+            elif child.tag not in BLACKLIST:
+                t, l = sums[id(child)]
+                total += t
+                link += t if child.tag == "a" else l
+        sums[id(node)] = (total, link)
+    return cands, sums
+
+
+def _render(node: _Node) -> List[Tuple[str, int]]:
+    """Render a subtree to lines of (text, link_char_count)."""
+    lines: List[Tuple[str, int]] = []
+    buf: List[str] = []
+    link_chars = 0
+
+    def flush() -> None:
+        nonlocal buf, link_chars
+        text = _WS_RE.sub(" ", "".join(buf)).strip()
+        if text:
+            lines.append((text, link_chars))
+        buf = []
+        link_chars = 0
+
+    stack = [(iter(node.children), False, False)]  # (children, in_link, is_block)
+    while stack:
+        children, in_link, is_block = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
             if is_block:
-                self._flush()
-            self.render(child, in_link or child.tag == "a")
-            if is_block:
-                self._flush()
+                flush()
+        elif isinstance(child, str):
+            buf.append(child)
+            if in_link:
+                link_chars += _collapsed_len(child)
+        elif child.tag not in BLACKLIST:
+            block = child.tag in BLOCK_TAGS
+            if block:
+                flush()
+            stack.append((iter(child.children), in_link or child.tag == "a", block))
+    flush()
+    return lines
 
-    def result(self) -> List[Tuple[str, int]]:
-        self._flush()
-        return self.lines
 
-
-def extract_html_text(html: str) -> Tuple[str, List[Span]]:
-    """Main-content text + line spans from an HTML document."""
+def _extract_dom(html: str) -> List[Tuple[str, int]]:
+    """The winner's rendered lines through ``html.parser``'s DOM."""
     builder = _DomBuilder()
     builder.feed(html)
     builder.close()
     root = builder.root
-
-    candidates: list = []
-    _collect_candidates(root, candidates)
-    if not candidates:
-        candidates = [root]
-
-    best = None
-    best_key = None
+    candidates, sums = _measure(root)
+    best, best_key = root, None
     for node in candidates:
-        total, link = _measure(node)
-        score = total - 2 * link
-        key = (score, node.depth)  # deepest wins among equal scores
+        total, link = sums[id(node)]
+        key = (total - 2 * link, node.depth)  # deepest wins among equal scores
         if best_key is None or key > best_key:
             best, best_key = node, key
-
-    renderer = _Renderer()
-    renderer.render(best)
-    kept: List[str] = []
-    for text, link_chars in renderer.result():
-        n = len(text)
-        if n == 0:
-            continue
-        words = text.count(" ") + 1
-        if n > 0 and link_chars / n > 0.66 and words < 10:
-            continue  # residual link-farm line
-        kept.append(text)
-
-    out: List[str] = []
-    spans: List[Span] = []
-    offset = 0
-    for i, line in enumerate(kept):
-        if i > 0:
-            offset += 1  # the joining newline
-        spans.append((offset, offset + len(line), "line"))
-        out.append(line)
-        offset += len(line)
-    return "\n".join(out), spans
+    return _render(best)
 
 
 _HTML_SNIFF_RE = re.compile(

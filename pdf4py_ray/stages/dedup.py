@@ -25,10 +25,11 @@ import pyarrow as pa
 
 from ..functions.broadcast import sorted_lookup, task_stage
 from ..functions.hashing import (
-    band_hashes,
+    band_hash_matrix,
     md5_lower64,
+    md5_lower64_array,
     minhash_params,
-    minhash_signature,
+    minhash_signatures,
     stable_hash64,
 )
 
@@ -107,22 +108,46 @@ def _add_pair_bucket(batch: pd.DataFrame) -> pd.DataFrame:
     return batch
 
 
-def _shingle_hashes(text: str, k: int = SHINGLE_WORDS) -> np.ndarray:
-    # md5-lower-64 gram hashes (not blake2b): DuckDB recomputes them,
-    # so d_minhash_pairs carries a full SQL recomputation oracle
+def _shingles(text) -> list:
+    """Word ``SHINGLE_WORDS``-grams of a lower-cased text; a text of
+    fewer words is one shingle, an empty one none."""
     words = (text or "").lower().split()
-    if len(words) < k:
-        grams = [" ".join(words)] if words else []
-    else:
-        grams = [" ".join(words[i : i + k]) for i in range(len(words) - k + 1)]
-    return np.fromiter((md5_lower64(g) for g in set(grams)), dtype=np.uint64)
+    if len(words) < SHINGLE_WORDS:
+        return [" ".join(words)] if words else []
+    return list(map(" ".join, zip(*(words[i:] for i in range(SHINGLE_WORDS)))))
+
+
+def minhash_sketch(texts, a: np.ndarray, b: np.ndarray):
+    """``(signatures, band hashes)`` of a list of texts: a
+    ``(n, NUM_PERM)`` uint64 and a ``(n, NUM_BANDS)`` int64 matrix.
+    One md5-lower-64 digest per distinct shingle of the batch, one
+    vectorized MinHash over all its shingles
+    (:func:`~..functions.hashing.minhash_signatures`) and one pass of
+    band digests."""
+    grams: list = []
+    offsets = [0]
+    for text in texts:
+        grams += _shingles(text)
+        offsets.append(len(grams))
+    # a dict, not pd.factorize: pandas takes strings that differ only in
+    # lone surrogates for one value
+    distinct: dict = {}
+    codes = np.fromiter([distinct.setdefault(g, len(distinct)) for g in grams],
+                        dtype=np.intp, count=len(grams))
+    sigs = minhash_signatures(md5_lower64_array(distinct)[codes], offsets, a, b)
+    return sigs, band_hash_matrix(sigs, NUM_BANDS)
 
 
 class MinHashSignatures:
     """Batch sketcher: text → ONE sketch row per doc
     (doc_id, 64-perm signature, 16 band hashes). Runs as a task stage
     (:func:`~..functions.broadcast.task_stage`): the permutation
-    parameters are built once per worker process per pipeline build."""
+    parameters are built once per worker process per pipeline build.
+
+    The shingle hashes are md5-lower-64 (not blake2b): DuckDB
+    recomputes them, so ``d_minhash_pairs`` carries a full SQL
+    recomputation oracle. Each batch is sketched as a whole
+    (:func:`minhash_sketch`)."""
 
     def __init__(self, text_col: str = "text", id_col: str = "doc_id") -> None:
         self.text_col = text_col
@@ -131,14 +156,8 @@ class MinHashSignatures:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch[self.id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        texts = batch[self.text_col].to_pylist()
-        n = len(texts)
-        sigs = np.empty((n, NUM_PERM), dtype=np.uint64)
-        for i, text in enumerate(texts):  # shingling is inherently per-doc
-            sigs[i] = minhash_signature(_shingle_hashes(text), self.a, self.b)
-        bands = np.empty((n, NUM_BANDS), dtype=np.int64)
-        for i in range(n):  # blake2b per (doc, band) chunk
-            bands[i] = band_hashes(sigs[i], NUM_BANDS)
+        sigs, bands = minhash_sketch(batch[self.text_col].to_pylist(), self.a, self.b)
+        n = len(sigs)
         # flat values + offset-stepped ListArrays: no per-doc Python
         # list objects (~80 objects/doc in the naive construction)
         sig_off = pa.array(np.arange(0, (n + 1) * NUM_PERM, NUM_PERM,

@@ -30,3 +30,20 @@ def test_same_tree_gives_equal_outputs():
     assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
     assert "outputs equal on every one" in proc.stdout
     assert "| all |" in proc.stdout
+
+
+def test_page_class():
+    from pdf4py_ray.sources.transcripts import make_doc_html
+
+    assert kernel_ab.page_class(make_doc_html("a b c", link_farm=True)) == "html link_farm"
+    assert kernel_ab.page_class(make_doc_html("a b c", link_farm=False)) == "html"
+
+
+def test_chat_sorted_pages_and_sketch_equal_on_one_tree():
+    proc = subprocess.run(
+        [sys.executable, "scripts/kernel_ab.py", ROOT, ROOT, "--seed", "3", "--workload",
+         "chat_sorted", "--convs", "40", "--reps", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+    assert "pages and their sketch, outputs equal on every one" in proc.stdout
+    assert "| sketch | 1 |" in proc.stdout and "| html" in proc.stdout
