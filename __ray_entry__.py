@@ -74,7 +74,7 @@ def entry() -> Any:
     documents, extract main content (PDF/HTML/plain), stable-sort."""
     from pdf4py_ray.pipelines.extract_pipeline import run_extraction
 
-    ds = run_extraction(SF_SMOKE, out_dir=None, num_partitions=8)
+    ds = run_extraction(SF_SMOKE, out_dir=None)
     return ds.select_columns(
         ["conv_id", "turn_idx", "kind", "extracted_text", "status", "n_objects", "n_bytes"]
     )
@@ -89,7 +89,7 @@ def _extract_turns(sf_dir: str):
     offsets live in ``x_extract_spans`` (list column, rows-only)."""
     from pdf4py_ray.pipelines.extract_pipeline import run_extraction
 
-    ds = run_extraction(sf_dir, out_dir=None, num_partitions=16)
+    ds = run_extraction(sf_dir, out_dir=None)
     return ds.select_columns(
         ["conv_id", "turn_idx", "kind", "extracted_text", "status",
          "n_objects", "n_bytes"]
@@ -106,7 +106,7 @@ def _extract_spans(sf_dir: str):
 
     # unsorted: spans need no global order (the flattened rows carry
     # their own keys) and the pyarrow blocks keep the list type intact
-    ds = run_extraction(sf_dir, out_dir=None, num_partitions=16, sort=False)
+    ds = run_extraction(sf_dir, out_dir=None, sort=False)
 
     def flatten(batch: pa.Table) -> pa.Table:
         rows = {"conv_id": [], "turn_idx": [], "span_idx": [],
@@ -148,26 +148,24 @@ def _extract_metrics(sf_dir: str):
 
 
 def _extract_write(sf_dir: str):
-    """Exercise the resumable sink: partitioned parquet + per-partition
-    manifests into a scratch dir; returns the manifest metrics table
-    (deterministic under the fixed hash partitioning)."""
+    """Exercise the resumable sink: the ordered write into a scratch
+    dir; returns the bucket manifests' metrics table (deterministic
+    under the split points from the documents table)."""
     import shutil
     import tempfile
 
     import pandas as pd
+    from pyarrow import fs as pafs
 
     from pdf4py_ray.pipelines import checkpoint
     from pdf4py_ray.pipelines.extract_pipeline import run_extraction
 
     out_dir = tempfile.mkdtemp(prefix="pdf4py_ray_write_")
     try:
-        run_extraction(sf_dir, out_dir=out_dir, num_partitions=16)
-        rows = []
-        for part_id in sorted(checkpoint.completed_partitions(out_dir)):
-            m = checkpoint.read_manifest(out_dir, part_id)
-            rows.append({"part_id": part_id, "rows": m["metrics"]["rows"],
-                         "errors": m["metrics"]["errors"]})
-        return pd.DataFrame(rows)
+        run_extraction(sf_dir, out_dir=out_dir)
+        committed = checkpoint.committed_buckets(pafs.LocalFileSystem(), out_dir)
+        return pd.DataFrame([{"sort_bucket": b, "rows": m["rows"], "errors": m["errors"]}
+                             for b, m in sorted(committed.items())])
     finally:
         shutil.rmtree(out_dir, ignore_errors=True)
 
@@ -817,7 +815,7 @@ def _oracle_sql_base() -> dict[str, str]:
             FROM read_parquet('{_GOLDEN_DIR}/x_extract_spans_sf001.parquet')
         """,
         "x_extract_write": f"""
-            SELECT part_id, rows, errors
+            SELECT sort_bucket, rows, errors
             FROM read_parquet('{_GOLDEN_DIR}/x_extract_write_sf001.parquet')
         """,
         # multimodal: independently re-derived expectations (spec

@@ -86,8 +86,7 @@ def bench_extract() -> tuple:
     # as an actor pool (a hard executor stall at num_cpus=4)
     pool = max(2, NUM_CPUS - 2)
     warm = run_extraction(
-        "/root/testdata/sf0.001", out_dir=None,
-        num_partitions=8, concurrency=pool, batch_size=16, sort=False,
+        "/root/testdata/sf0.001", out_dir=None, concurrency=pool, batch_size=16, sort=False,
     )
     warm.count()
 

@@ -7,15 +7,14 @@ Lifecycle (SURVEY §3.4):
       → add part_id (hash(conv_id) % P, salted)   # task map_batches
       → ExtractTurns                              # task map_batches, pyarrow batches;
                                                   # one extractor per worker per build
-      → then ONE of three terminals:
+      → then ONE of two terminals:
         · range_sorted    # tag sort_bucket, one bucket shuffle, per-bucket
                           # sort: consumed in order (the equality gate)
         · stable_sorted_write  # tag sort_bucket, hive write per bucket, one
-                               # compaction task per bucket: ordered output
-        · write_parquet(partition_cols=[part_id])  # resumable, with
-                               # per-partition manifests (synthesized input)
+                               # compaction task per bucket, which commits
+                               # it with a manifest: ordered, resumable output
 
-Both ordered terminals tag rows with the same :func:`tag_sort_bucket`
+Both terminals tag rows with the same :func:`tag_sort_bucket`
 over split points from :func:`quantile_splits`, so bucket ``b`` holds
 exactly the ``conv_id`` values between split ``b-1`` and split ``b``
 and bucket order is global ``(conv_id, turn_idx)`` order. The raw-PDF
@@ -33,11 +32,14 @@ leaves no idle pool holding CPUs. Everything stays a lazy streaming
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import os
 from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..functions.broadcast import task_stage
@@ -60,15 +62,13 @@ def extraction_dataset(
     salt_turns: Optional[int] = 16,
     concurrency: Optional[int] = None,
     batch_size: int = 32,
-    skip_partitions: Optional[set] = None,
 ):
     """Wire the extraction stages onto an existing turns Dataset.
 
     ``concurrency`` caps the extraction tasks running at once; ``None``
     leaves it to Ray Data. ``ExtractTurns`` and ``add_part_id`` are
     read from this module when the pipeline is built, and each build
-    gets its own extractor in each worker process. Rows whose
-    ``part_id`` is in ``skip_partitions`` are dropped before extraction.
+    gets its own extractor in each worker process.
 
     Ray Data copies its context when a dataset is created, so engine
     defaults (``config.apply_engine_defaults``) must be applied by the
@@ -77,15 +77,6 @@ def extraction_dataset(
         functools.partial(add_part_id, num_partitions=num_partitions, salt_turns=salt_turns),
         batch_format="pyarrow",
     )
-    if skip_partitions:
-        import pyarrow.compute as pc
-
-        done = pa.array(sorted(skip_partitions), type=pa.int32())
-
-        def drop_done(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.invert(pc.is_in(batch["part_id"], value_set=done)))
-
-        ds = ds.map_batches(drop_done, batch_format="pyarrow")
     return ds.map_batches(
         task_stage("extract_turns", ExtractTurns),
         batch_format="pyarrow",
@@ -97,51 +88,50 @@ def extraction_dataset(
 def run_extraction(
     sf_dir: str,
     out_dir: Optional[str] = None,
-    num_partitions: int = 32,
-    salt_turns: Optional[int] = 16,
     concurrency: Optional[int] = None,
     batch_size: int = 32,
     sort: bool = True,
     resume: bool = True,
 ):
-    """Run the flagship pipeline over a scale-factor directory.
+    """Run the flagship pipeline over a scale-factor directory, with
+    split points from its documents table
+    (:func:`_split_points_from_docs`).
 
     With ``out_dir`` None, returns the result Dataset: range-sorted
-    (:func:`range_sorted`, split points from the documents table) when
-    ``sort``, unordered otherwise. Else writes parquet partitioned by
-    ``part_id`` plus per-partition manifests (resuming over completed
-    partitions when ``resume``) and returns the output path; ``sort``
-    does not apply to the write. ``concurrency`` caps the extraction
-    tasks (``None``: no cap).
+    (:func:`range_sorted`) when ``sort``, unordered otherwise. Else
+    writes it with :func:`stable_sorted_write` and returns ``out_dir``;
+    ``sort`` does not apply to the write. With ``resume``, the buckets
+    that an earlier write of the same input committed are kept: their
+    turns are dropped before extraction and the write leaves them
+    alone. An output whose manifests record other split points raises
+    ``ValueError``; ``resume=False`` rewrites every bucket.
+    ``concurrency`` caps the extraction tasks (``None``: no cap).
     """
     turns = synth_transcripts(sf_dir)
-    params = {"num_partitions": num_partitions, "salt_turns": salt_turns}
-    skip = None
-    if out_dir is not None:
-        if resume:
-            skip = checkpoint.completed_partitions(out_dir)
-            if skip:
-                checkpoint.verify_resume_params(out_dir, skip, params)
-            # a crashed mid-write run leaves manifest-less partial
-            # partitions; delete them before rewriting or write_parquet
-            # appends duplicates the manifest pass would then bless
-            checkpoint.clear_incomplete(out_dir)
-        else:
-            checkpoint.clear_all(out_dir)
-    ds = extraction_dataset(
-        turns,
-        num_partitions=num_partitions,
-        salt_turns=salt_turns,
-        concurrency=concurrency,
-        batch_size=batch_size,
-        skip_partitions=skip,
-    )
     if out_dir is None:
+        ds = extraction_dataset(turns, concurrency=concurrency, batch_size=batch_size)
         return range_sorted(ds, _split_points_from_docs(sf_dir)) if sort else ds
 
-    ds.write_parquet(out_dir, partition_cols=["part_id"])
-    _write_manifests(sf_dir, out_dir, skip or set(), params)
+    splits = _split_points_from_docs(sf_dir)
+    lineage = {"input": sf_dir} if resume else None
+    if resume:
+        done = _committed(*_resolve_fs(out_dir), _lineage(splits, lineage))
+        if done:
+            turns = turns.map_batches(
+                functools.partial(_drop_buckets, splits=np.array(splits),
+                                  done=pa.array(sorted(done), type=pa.int64())),
+                batch_format="pyarrow",
+            )
+    ds = extraction_dataset(turns, concurrency=concurrency, batch_size=batch_size)
+    stable_sorted_write(ds, out_dir, splits, lineage)
     return out_dir
+
+
+def _drop_buckets(batch: pa.Table, splits: np.ndarray, done: pa.Array) -> pa.Table:
+    """``batch`` without the rows that :func:`tag_sort_bucket` puts in a
+    bucket of ``done``."""
+    bucket = tag_sort_bucket(batch, splits)["sort_bucket"]
+    return batch.filter(pc.invert(pc.is_in(bucket, value_set=done)))
 
 
 def quantile_splits(sorted_keys, num_buckets: int) -> list:
@@ -187,8 +177,10 @@ def _sampled_split_points(turns_dir: str, filesystem, files: list, num_buckets: 
     step = max(1, len(files) // 8)
     vals: list = []
     for f in files[::step][:8]:
-        col = pq.read_table(f.path, columns=["conv_id"], filesystem=filesystem)["conv_id"]
-        vals.extend(col.slice(0, SPLIT_SAMPLE_ROWS).to_pylist())
+        with pq.ParquetFile(f.path, filesystem=filesystem) as pf:
+            head = next(pf.iter_batches(batch_size=SPLIT_SAMPLE_ROWS, columns=["conv_id"]), None)
+        if head is not None:
+            vals.extend(head.column(0).to_pylist())
     vals.sort()
     return quantile_splits(vals, num_buckets)
 
@@ -236,9 +228,17 @@ def _sort_table(t: pa.Table) -> pa.Table:
     return t.sort_by([(k, "ascending") for k in SORT_KEYS])
 
 
-def stable_sorted_write(ds, out_dir: str, split_points: list) -> int:
+def stable_sorted_write(ds, out_dir: str, split_points: list,
+                        lineage: Optional[dict] = None) -> int:
     """Stable global sort as an EXTERNAL sort with no object-store
-    all-to-all — the ordered-write gate/production shape.
+    all-to-all — the ordered-write gate/production shape, and the
+    engine's one resumable output.
+
+    Stage 0 (clean start): every ``sort_bucket=`` directory already
+    under ``out_dir`` is deleted, except, when ``lineage`` is given, the
+    buckets committed under it (:func:`_lineage`): a resumed write,
+    whose ``ds`` must hold none of their rows. Debris of an earlier or
+    crashed write never mixes into this one.
 
     Stage 1 (streaming, no shuffle): rows are tagged by
     :func:`tag_sort_bucket` and written with
@@ -246,11 +246,12 @@ def stable_sorted_write(ds, out_dir: str, split_points: list) -> int:
     appends its own fragment files under each bucket's hive directory,
     so the data movement is task→storage, never task→task.
 
-    Stage 2 (embarrassingly parallel): one Ray task per bucket reads
-    its fragments (bucket ≈ corpus/B rows), sorts in memory with the
-    same :func:`_sort_table`, writes a single ``sorted.parquet``
-    and removes the fragments. Reading ``sort_bucket=0..B`` in order
-    IS the stable global (conv_id, turn_idx) order.
+    Stage 2 (embarrassingly parallel): one Ray task per written bucket
+    reads its fragments (bucket ≈ corpus/B rows), sorts in memory with
+    the same :func:`_sort_table`, writes a single ``sorted.parquet``,
+    removes the fragments and commits the bucket with its manifest
+    (:mod:`.checkpoint`). Reading ``sort_bucket=0..B`` in order IS the
+    stable global (conv_id, turn_idx) order.
 
     Both stages scale linearly with nodes (storage-bandwidth bound,
     not interconnect-barrier bound). All filesystem access goes
@@ -259,27 +260,59 @@ def stable_sorted_write(ds, out_dir: str, split_points: list) -> int:
     code path; the fragment cleanup uses per-file deletes and a
     filesystem ``move`` (atomic on local FS, copy+delete where the
     store lacks rename) rather than POSIX ``glob``/``os.replace``.
-    Returns the total row count."""
-    from pyarrow import fs as pafs
-
+    ``ds`` is extraction output (it has ``status`` and ``n_bytes``);
+    ``lineage`` values are JSON. Returns the total row count, kept
+    buckets included."""
     filesystem, out_path = _resolve_fs(out_dir)
+    full = _lineage(split_points, lineage)
+    kept = _committed(filesystem, out_path, full) if lineage is not None else {}
+    for b, d in checkpoint.bucket_dirs(filesystem, out_path).items():
+        if b not in kept:
+            filesystem.delete_dir(d)
     _tagged(ds, split_points).write_parquet(
         out_path, filesystem=filesystem, partition_cols=["sort_bucket"]
     )
-    bucket_dirs = sorted(
-        fi.path for fi in filesystem.get_file_info(pafs.FileSelector(out_path))
-        if fi.type == pafs.FileType.Directory
-        and fi.base_name.startswith("sort_bucket=")
-    )
-    counts = ray.get([_compact_bucket.remote(filesystem, d) for d in bucket_dirs])
-    return int(sum(counts))
+    bounds = [None, *split_points, None]
+    counts = ray.get([
+        _compact_bucket.remote(filesystem, d, {"sort_bucket": b, "bounds": bounds[b:b + 2],
+                                               "lineage": full})
+        for b, d in sorted(checkpoint.bucket_dirs(filesystem, out_path).items())
+        if b not in kept
+    ])
+    return int(sum(counts)) + sum(m["rows"] for m in kept.values())
+
+
+def _lineage(split_points: list, lineage: Optional[dict]) -> dict:
+    """A bucket manifest's lineage: the pipeline version, a digest of the
+    split points (which fix every bucket's key range) and the caller's
+    ``lineage`` (its input identity)."""
+    digest = hashlib.sha256(json.dumps(split_points).encode()).hexdigest()
+    return {"pipeline_version": __PIPELINE_VERSION__, "split_digest": digest, **(lineage or {})}
+
+
+def _committed(filesystem, out_path: str, lineage: dict) -> dict:
+    """``{bucket: manifest}`` of the buckets under ``out_path`` committed
+    under ``lineage``. Raises ``ValueError`` when a committed bucket
+    records other split points: its rows may belong to any bucket of
+    this write."""
+    committed = checkpoint.committed_buckets(filesystem, out_path)
+    recorded = {m.get("lineage", {}).get("split_digest") for m in committed.values()}
+    if recorded - {lineage["split_digest"]}:
+        raise ValueError(
+            f"Cannot resume: the manifests under {out_path} record other split "
+            "points than this run's. Re-run over the original input, or with "
+            "resume=False to rewrite from scratch."
+        )
+    return {b: m for b, m in committed.items() if m["lineage"] == lineage}
 
 
 @ray.remote(num_cpus=1)
-def _compact_bucket(filesystem, bucket_dir: str) -> int:
+def _compact_bucket(filesystem, bucket_dir: str, manifest: dict) -> int:
     """One bucket of :func:`stable_sorted_write`: its fragments sorted
     into a single ``sorted.parquet`` (written to a temporary name, then
-    moved), fragments deleted. Returns the bucket's row count."""
+    moved), fragments deleted, and last the bucket's commit: ``manifest``
+    (its number, bounds and lineage) with the bucket's rows, error rows
+    and payload bytes. Returns the bucket's row count."""
     import pyarrow.parquet as pq
     from pyarrow import fs as pafs
 
@@ -297,6 +330,12 @@ def _compact_bucket(filesystem, bucket_dir: str) -> int:
     filesystem.move(tmp, f"{bucket_dir}/sorted.parquet")
     for f in frags:
         filesystem.delete_file(f)
+    checkpoint.write_manifest(filesystem, bucket_dir, {
+        **manifest,
+        "rows": t.num_rows,
+        "errors": pc.sum(pc.equal(t["status"], "error")).as_py() or 0,
+        "payload_bytes": pc.sum(t["n_bytes"]).as_py() or 0,
+    })
     return t.num_rows
 
 
@@ -429,48 +468,3 @@ def extraction_from_parquet(
         return ds
     splits = _sampled_split_points(turns_dir, filesystem, files, max(64, num_partitions))
     return range_sorted(ds, splits)
-
-
-def _write_manifests(sf_dir: str, out_dir: str, already_done: set,
-                     params: Optional[dict] = None) -> None:
-    """Post-write per-partition metrics → manifests (cheap column-pruned
-    read-back of the freshly written output)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    out = rd.read_parquet(out_dir, columns=["part_id", "n_bytes", "status"])
-
-    def flag_errors(batch):
-        err = pc.cast(pc.equal(batch["status"], "error"), "int64")
-        return batch.append_column("is_error", err)
-
-    metrics = (
-        out.map_batches(flag_errors, batch_format="pyarrow")
-        .groupby("part_id")
-        .aggregate(Count(alias_name="rows"), Sum("n_bytes", alias_name="payload_bytes"),
-                   Sum("is_error", alias_name="errors"))
-    )
-    lineage = {
-        "pipeline_version": __PIPELINE_VERSION__,
-        "input": sf_dir,
-        "stages": ["synth_transcripts", "add_part_id", "ExtractTurns"],
-        # partitioning params: resume refuses to run with different
-        # values (completed part_ids are filtered from the INPUT, so a
-        # changed partitioning would skip the wrong row subsets)
-        "params": params,
-    }
-    for row in metrics.iter_rows():
-        part_id = int(row["part_id"])
-        if part_id in already_done:
-            continue
-        checkpoint.write_manifest(
-            out_dir,
-            part_id,
-            {
-                "rows": int(row["rows"]),
-                "payload_bytes": int(row["payload_bytes"] or 0),
-                "errors": int(row["errors"] or 0),
-            },
-            lineage,
-        )

@@ -201,14 +201,6 @@ def synth_turn_rows_for_doc(doc_id: int, text: str, rep: int = 0) -> list:
     return rows
 
 
-def _docs_to_turns_batch(batch: pa.Table, repeat: int = 1) -> pa.Table:
-    rows: list = []
-    for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-        for rep in range(repeat):
-            rows.extend(synth_turn_rows_for_doc(doc_id, text or "", rep))
-    return pa.Table.from_pylist(rows, schema=TURN_SCHEMA)
-
-
 def synth_transcripts(sf_dir: str, ray_data=True, repeat: int = 1):
     """The transcript turn table for a scale-factor directory.
 

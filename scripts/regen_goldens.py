@@ -35,7 +35,7 @@ def golden_tables(q) -> dict:
         t = pa.concat_tables(ds.iter_batches(batch_format="pyarrow"))
         return t.sort_by([(k, "ascending") for k in keys])
 
-    # x_extract_write is deterministic under the fixed 16-way hash partitioning
+    # x_extract_write is deterministic under the documents table's split points
     write = pa.Table.from_pandas(q["x_extract_write"](SF), preserve_index=False)
     return {
         "x_extract_turns_sf001.parquet": stable(q["x_extract_turns"](SF),
@@ -44,7 +44,7 @@ def golden_tables(q) -> dict:
                                                   ["kind", "status"]),
         "x_extract_spans_sf001.parquet": stable(q["x_extract_spans"](SF),
                                                 ["conv_id", "turn_idx", "span_idx"]),
-        "x_extract_write_sf001.parquet": write.sort_by([("part_id", "ascending")]),
+        "x_extract_write_sf001.parquet": write.sort_by([("sort_bucket", "ascending")]),
     }
 
 

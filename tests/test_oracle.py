@@ -152,3 +152,29 @@ def test_extract_turns_query(ray_session, entrymod):
     assert len(df) > 0
     assert (df["status"] == "error").sum() > 0  # corrupt fixtures surface
     assert (df["kind"] == "pdf").sum() > 0
+
+
+def test_extract_write_golden_recomputes_from_the_turns_golden():
+    """``x_extract_write`` is not self-blessed: bucketing the rows of the
+    committed ``x_extract_turns`` golden by the documents table's split
+    points gives its ``(sort_bucket, rows, errors)`` table."""
+    import bisect
+    import collections
+    import os
+
+    import pyarrow.parquet as pq
+
+    from pdf4py_ray.pipelines.extract_pipeline import _split_points_from_docs
+
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    splits = _split_points_from_docs(SF_DIR)
+    turns = pq.read_table(os.path.join(golden, "x_extract_turns_sf001.parquet"),
+                          columns=["conv_id", "status"])
+    rows, errors = collections.Counter(), collections.Counter()
+    for conv, status in zip(turns["conv_id"].to_pylist(), turns["status"].to_pylist()):
+        bucket = bisect.bisect_right(splits, conv)
+        rows[bucket] += 1
+        errors[bucket] += status == "error"
+    want = [{"sort_bucket": b, "rows": rows[b], "errors": errors[b]} for b in sorted(rows)]
+    got = pq.read_table(os.path.join(golden, "x_extract_write_sf001.parquet")).to_pylist()
+    assert got == want

@@ -104,34 +104,82 @@ def test_spans_index_into_text(ray_session, turns_table):
             assert 0 <= span["start"] <= span["end"] <= len(text)
 
 
+def _split_digest(splits: list) -> str:
+    import hashlib
+
+    return hashlib.sha256(json.dumps(splits).encode()).hexdigest()
+
+
 def test_resumable_write_and_manifests(ray_session, tmp_path):
+    import pyarrow.dataset as pads
+    from pyarrow import fs as pafs
+
     from pdf4py_ray.pipelines import checkpoint
-    from pdf4py_ray.pipelines.extract_pipeline import run_extraction
+    from pdf4py_ray.pipelines.extract_pipeline import (
+        __PIPELINE_VERSION__,
+        _split_points_from_docs,
+        run_extraction,
+    )
 
     out_dir = str(tmp_path / "out")
-    run_extraction(SF_DIR, out_dir=out_dir, num_partitions=8, concurrency=2)
-    done = checkpoint.completed_partitions(out_dir)
+    local = pafs.LocalFileSystem()
+    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    done = checkpoint.committed_buckets(local, out_dir)
     assert done, "no manifests written"
-    m = checkpoint.read_manifest(out_dir, sorted(done)[0])
-    assert m["metrics"]["rows"] > 0
-    assert m["lineage"]["stages"][-1] == "ExtractTurns"
-    total_rows = sum(
-        checkpoint.read_manifest(out_dir, p)["metrics"]["rows"] for p in done
-    )
-    import pyarrow.parquet as pq
-    import pyarrow.dataset as pads
-
+    m = done[min(done)]
+    assert m["rows"] > 0
+    assert m["lineage"] == {"pipeline_version": __PIPELINE_VERSION__, "input": SF_DIR,
+                            "split_digest": _split_digest(_split_points_from_docs(SF_DIR))}
+    total_rows = sum(m["rows"] for m in done.values())
     written = pads.dataset(out_dir, format="parquet", partitioning="hive")
     n_written = sum(1 for _ in written.to_table(columns=["status"]).column(0))
     assert total_rows == n_written
 
-    # resume: all partitions complete → second run writes nothing new
-    import time
+    # resume: all buckets committed → second run writes nothing new
+    dirs = checkpoint.bucket_dirs(local, out_dir)
+    mtimes = {b: os.path.getmtime(dirs[b] + "/_MANIFEST.json") for b in done}
+    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    for b, t in mtimes.items():
+        assert os.path.getmtime(dirs[b] + "/_MANIFEST.json") == t
 
-    mtimes = {p: os.path.getmtime(checkpoint.partition_dir(out_dir, p) + "/_MANIFEST.json") for p in done}
-    run_extraction(SF_DIR, out_dir=out_dir, num_partitions=8, concurrency=2)
-    for p, t in mtimes.items():
-        assert os.path.getmtime(checkpoint.partition_dir(out_dir, p) + "/_MANIFEST.json") == t
+
+def test_resume_after_a_crash_equals_a_clean_run(ray_session, tmp_path):
+    """Crash injection: three buckets lose their commit record; one of
+    them also holds a stray fragment and another lost its
+    ``sorted.parquet``. The resumed write gives a tree byte-equal to the
+    clean run's and leaves every committed bucket's files untouched."""
+    import shutil
+
+    import pyarrow.parquet as pq
+    from pyarrow import fs as pafs
+
+    from pdf4py_ray.pipelines import checkpoint
+    from pdf4py_ray.pipelines.extract_pipeline import run_extraction
+
+    out_dir, clean = str(tmp_path / "out"), str(tmp_path / "clean")
+    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    shutil.copytree(out_dir, clean)
+    dirs = checkpoint.bucket_dirs(pafs.LocalFileSystem(), out_dir)
+    victims = sorted(dirs)[1:4]
+    for b in victims:
+        os.remove(dirs[b] + "/_MANIFEST.json")
+    stray = pq.read_table(dirs[victims[0]] + "/sorted.parquet").slice(0, 2)
+    pq.write_table(stray, dirs[victims[0]] + "/fragment-0.parquet")
+    os.remove(dirs[victims[1]] + "/sorted.parquet")
+
+    def stats(b):
+        return {n: os.stat(os.path.join(dirs[b], n)).st_mtime_ns for n in os.listdir(dirs[b])}
+
+    committed = {b: stats(b) for b in dirs if b not in victims}
+    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+
+    def tree(root):
+        return {os.path.relpath(os.path.join(d, n), root): open(os.path.join(d, n), "rb").read()
+                for d, _, names in os.walk(root) for n in names}
+
+    assert tree(out_dir) == tree(clean)
+    for b, before in committed.items():
+        assert stats(b) == before
 
 
 def test_materialize_and_extract_from_parquet(ray_session, tmp_path):
@@ -151,7 +199,7 @@ def test_materialize_and_extract_from_parquet(ray_session, tmp_path):
         turns_dir, num_partitions=8, concurrency=2
     ).select_columns(["conv_id", "turn_idx", "extracted_text", "status"]).take_all()
     via_memory = run_extraction(
-        SF_DIR, out_dir=None, num_partitions=8, concurrency=2
+        SF_DIR, out_dir=None, concurrency=2
     ).select_columns(["conv_id", "turn_idx", "extracted_text", "status"]).take_all()
     assert via_parquet == via_memory
 
@@ -189,40 +237,51 @@ def test_salted_partitioning_spreads_hot_conversation():
 
 
 def test_resume_cleans_crashed_partial_partitions(ray_session, tmp_path):
-    """A crashed mid-write run leaves a partition dir with parquet
-    files but no manifest; resume must delete it before rewriting so
-    rows are not duplicated."""
+    """A crashed mid-write run leaves a bucket dir with parquet files
+    but no manifest; resume must delete it before rewriting so rows
+    are not duplicated."""
     import pyarrow.dataset as pads
+    from pyarrow import fs as pafs
 
     from pdf4py_ray.pipelines import checkpoint
     from pdf4py_ray.pipelines.extract_pipeline import run_extraction
 
     out_dir = str(tmp_path / "out")
-    run_extraction(SF_DIR, out_dir=out_dir, num_partitions=8, concurrency=2)
-    done = checkpoint.completed_partitions(out_dir)
-    victim = sorted(done)[0]
+    local = pafs.LocalFileSystem()
+    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    done = checkpoint.committed_buckets(local, out_dir)
+    victim = min(done)
     total = pads.dataset(out_dir, format="parquet", partitioning="hive").count_rows()
 
     # simulate the crash: parquet files present, manifest gone
-    os.remove(os.path.join(checkpoint.partition_dir(out_dir, victim), "_MANIFEST.json"))
-    run_extraction(SF_DIR, out_dir=out_dir, num_partitions=8, concurrency=2)
-    assert checkpoint.completed_partitions(out_dir) == done
+    os.remove(os.path.join(checkpoint.bucket_dirs(local, out_dir)[victim], "_MANIFEST.json"))
+    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    assert checkpoint.committed_buckets(local, out_dir) == done
     after = pads.dataset(out_dir, format="parquet", partitioning="hive").count_rows()
     assert after == total  # no duplicated rows from appended files
 
 
-def test_resume_rejects_changed_partitioning(ray_session, tmp_path):
-    import pytest as _pytest
+def test_resume_rejects_changed_partitioning(ray_session, tmp_path, monkeypatch):
+    """Resuming over manifests that record other split points raises;
+    ``resume=False`` rewrites every bucket under the new ones."""
+    from pyarrow import fs as pafs
 
-    from pdf4py_ray.pipelines.extract_pipeline import run_extraction
+    from pdf4py_ray.pipelines import checkpoint
+    from pdf4py_ray.pipelines import extract_pipeline as xp
 
     out_dir = str(tmp_path / "out")
-    run_extraction(SF_DIR, out_dir=out_dir, num_partitions=8, concurrency=2)
-    with _pytest.raises(ValueError, match="Cannot resume"):
-        run_extraction(SF_DIR, out_dir=out_dir, num_partitions=16, concurrency=2)
+    xp.run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    n = sum(m["rows"] for m in checkpoint.committed_buckets(pafs.LocalFileSystem(), out_dir).values())
+    coarser = xp._split_points_from_docs(SF_DIR)[::2]
+    monkeypatch.setattr(xp, "_split_points_from_docs", lambda sf_dir: coarser)
+    with pytest.raises(ValueError, match="Cannot resume"):
+        xp.run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
     # resume=False rewrites from scratch instead
-    run_extraction(SF_DIR, out_dir=out_dir, num_partitions=16, concurrency=2,
-                   resume=False)
+    xp.run_extraction(SF_DIR, out_dir=out_dir, concurrency=2, resume=False)
+    committed = checkpoint.committed_buckets(pafs.LocalFileSystem(), out_dir)
+    assert sorted(committed) == list(range(len(coarser) + 1))
+    assert {m["lineage"]["split_digest"] for m in committed.values()} == {_split_digest(coarser)}
+    assert sum(m["rows"] for m in committed.values()) == n
 
 
 def test_range_sorted_equals_full_sort(ray_session, turns_table):
@@ -260,13 +319,16 @@ def test_range_sorted_equals_full_sort(ray_session, turns_table):
 
 def test_stable_sorted_write_ordered_output(ray_session, tmp_path, turns_table):
     """Reading sort_bucket dirs ascending must equal the full sort —
-    the ordered-write (external sort) gate contract."""
+    the ordered-write (external sort) gate contract. Every bucket is
+    committed, and its manifest describes its ``sorted.parquet``."""
     import glob
 
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
+    from pyarrow import fs as pafs
 
+    from pdf4py_ray.pipelines import checkpoint
     from pdf4py_ray.pipelines.extract_pipeline import (
         SORT_KEYS,
         extraction_dataset,
@@ -290,6 +352,23 @@ def test_stable_sorted_write_ordered_output(ray_session, tmp_path, turns_table):
     want = [(r["conv_id"], r["turn_idx"])
             for r in full.sort(SORT_KEYS).select_columns(["conv_id", "turn_idx"]).take_all()]
     assert got == want
+
+    local = pafs.LocalFileSystem()
+    dirs = checkpoint.bucket_dirs(local, out)
+    committed = checkpoint.committed_buckets(local, out)
+    assert sorted(committed) == sorted(dirs) == list(range(len(splits) + 1))
+    assert sum(m["rows"] for m in committed.values()) == n
+    bounds = [None, *splits, None]
+    for b, m in committed.items():
+        t = pq.read_table(dirs[b] + "/sorted.parquet")
+        assert m["sort_bucket"] == b and m["bounds"] == bounds[b:b + 2]
+        assert m["rows"] == t.num_rows
+        assert m["errors"] == t["status"].to_pylist().count("error")
+        assert m["payload_bytes"] == sum(t["n_bytes"].to_pylist())
+        lo, hi = m["bounds"]
+        assert all((lo is None or lo <= c) and (hi is None or c < hi)
+                   for c in t["conv_id"].to_pylist())
+    assert sum(m["errors"] for m in committed.values()) > 0
 
 
 def test_stable_sorted_write_through_fs_uri(ray_session, tmp_path, turns_table):
@@ -328,9 +407,55 @@ def test_stable_sorted_write_through_fs_uri(ray_session, tmp_path, turns_table):
         # fragments are cleaned up in both modes
         for b in buckets:
             names = [fi.base_name for fi in local.get_file_info(pafs.FileSelector(b))]
-            assert names == ["sorted.parquet"], names
+            assert sorted(names) == ["_MANIFEST.json", "sorted.parquet"], names
         outs.append(list(zip(tbl["conv_id"].to_pylist(), tbl["turn_idx"].to_pylist())))
     assert outs[0] == outs[1]
+
+
+def _ordered_rows(n: int) -> pa.Table:
+    return pa.table({
+        "conv_id": [f"c{i:02d}" for i in range(n)],
+        "turn_idx": pa.array([0] * n, pa.int32()),
+        "status": ["ok"] * n,
+        "n_bytes": pa.array([1] * n, pa.int64()),
+    })
+
+
+def _written_conv_ids(out: str) -> list:
+    import glob
+
+    import pyarrow.parquet as pq
+
+    return sorted(c for p in glob.glob(out + "/sort_bucket=*/*.parquet")
+                  for c in pq.read_table(p, columns=["conv_id"])["conv_id"].to_pylist())
+
+
+def test_stable_sorted_write_into_a_used_directory(ray_session, tmp_path):
+    """A second write into the same directory holds exactly its own
+    rows: the buckets only the first write had are gone."""
+    import ray.data as rd
+
+    from pdf4py_ray.pipelines.extract_pipeline import stable_sorted_write
+
+    out = str(tmp_path / "out")
+    assert stable_sorted_write(rd.from_arrow(_ordered_rows(20)), out, ["c05", "c10", "c15"]) == 20
+    assert stable_sorted_write(rd.from_arrow(_ordered_rows(8)), out, ["c05"]) == 8
+    assert _written_conv_ids(out) == _ordered_rows(8)["conv_id"].to_pylist()
+
+
+def test_stable_sorted_write_drops_fragments_of_a_crashed_write(ray_session, tmp_path):
+    """Fragments that a write left behind when it died between its hive
+    write and its compaction are not merged into the next write."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from pdf4py_ray.pipelines.extract_pipeline import stable_sorted_write
+
+    (tmp_path / "out" / "sort_bucket=0").mkdir(parents=True)
+    pq.write_table(_ordered_rows(3), str(tmp_path / "out" / "sort_bucket=0" / "frag-0.parquet"))
+    out = str(tmp_path / "out")
+    assert stable_sorted_write(rd.from_arrow(_ordered_rows(8)), out, ["c05"]) == 8
+    assert _written_conv_ids(out) == _ordered_rows(8)["conv_id"].to_pylist()
 
 
 def test_run_extraction_range_sort_equals_full_sort(ray_session):
@@ -375,6 +500,29 @@ def test_sample_split_points_small_sample_has_no_duplicates(tmp_path):
     pq.write_table(pa.table({"conv_id": ["c", "a", "b", "b", "c"]}),
                    str(tmp_path / "part-0.parquet"))
     assert sample_split_points(str(tmp_path), num_buckets=64) == ["b", "c"]
+
+
+def test_split_sample_reads_the_head_of_each_file(tmp_path):
+    """The sample is the first ``SPLIT_SAMPLE_ROWS`` conv_ids of each
+    file, across row groups; an empty file contributes nothing."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from pdf4py_ray.pipelines.extract_pipeline import (
+        SPLIT_SAMPLE_ROWS,
+        quantile_splits,
+        sample_split_points,
+    )
+
+    rng = np.random.default_rng(0)
+    ids = [f"c{x:05d}" for x in rng.integers(0, 50000, 3 * SPLIT_SAMPLE_ROWS)]
+    path = str(tmp_path / "a.parquet")
+    pq.write_table(pa.table({"conv_id": ids}), path, row_group_size=1000)
+    pq.write_table(pa.table({"conv_id": pa.array([], pa.string())}), str(tmp_path / "b.parquet"))
+    assert pq.ParquetFile(path).num_row_groups > SPLIT_SAMPLE_ROWS // 1000
+    want = quantile_splits(sorted(ids[:SPLIT_SAMPLE_ROWS]), 64)
+    assert len(want) == 63
+    assert sample_split_points(str(tmp_path), num_buckets=64) == want
 
 
 @settings(max_examples=500, deadline=None)
