@@ -72,9 +72,9 @@ def _table_rows(sf_dir: str, table: str) -> int:
 def entry() -> Any:
     """Flagship pipeline: synthesize transcript turns from sf0.001
     documents, extract main content (PDF/HTML/plain), stable-sort."""
-    from pdf4py_ray.pipelines.extract_pipeline import run_extraction
+    from pdf4py_ray.pipelines.extract_pipeline import extract, synth_source
 
-    ds = run_extraction(SF_SMOKE, out_dir=None)
+    ds = extract(synth_source(SF_SMOKE))
     return ds.select_columns(
         ["conv_id", "turn_idx", "kind", "extracted_text", "status", "n_objects", "n_bytes"]
     )
@@ -87,9 +87,9 @@ def _extract_turns(sf_dir: str):
     """Flagship extraction — value-gated against a committed golden
     parquet (regenerate with ``scripts/regen_goldens.py``); the span
     offsets live in ``x_extract_spans`` (list column, rows-only)."""
-    from pdf4py_ray.pipelines.extract_pipeline import run_extraction
+    from pdf4py_ray.pipelines.extract_pipeline import extract, synth_source
 
-    ds = run_extraction(sf_dir, out_dir=None)
+    ds = extract(synth_source(sf_dir))
     return ds.select_columns(
         ["conv_id", "turn_idx", "kind", "extracted_text", "status",
          "n_objects", "n_bytes"]
@@ -102,11 +102,11 @@ def _extract_spans(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    from pdf4py_ray.pipelines.extract_pipeline import run_extraction
+    from pdf4py_ray.pipelines.extract_pipeline import extraction_dataset, synth_source
 
     # unsorted: spans need no global order (the flattened rows carry
     # their own keys) and the pyarrow blocks keep the list type intact
-    ds = run_extraction(sf_dir, out_dir=None, sort=False)
+    ds = extraction_dataset(synth_source(sf_dir))
 
     def flatten(batch: pa.Table) -> pa.Table:
         rows = {"conv_id": [], "turn_idx": [], "span_idx": [],
@@ -138,10 +138,9 @@ def _extract_spans(sf_dir: str):
 def _extract_metrics(sf_dir: str):
     from ray.data.aggregate import Count, Sum
 
-    from pdf4py_ray.pipelines.extract_pipeline import extraction_dataset
-    from pdf4py_ray.sources.transcripts import synth_transcripts
+    from pdf4py_ray.pipelines.extract_pipeline import extraction_dataset, synth_source
 
-    ds = extraction_dataset(synth_transcripts(sf_dir), num_partitions=16)
+    ds = extraction_dataset(synth_source(sf_dir))
     return ds.groupby(["kind", "status"]).aggregate(
         Count(alias_name="n_turns"), Sum("n_bytes", alias_name="payload_bytes")
     )
@@ -158,11 +157,11 @@ def _extract_write(sf_dir: str):
     from pyarrow import fs as pafs
 
     from pdf4py_ray.pipelines import checkpoint
-    from pdf4py_ray.pipelines.extract_pipeline import run_extraction
+    from pdf4py_ray.pipelines.extract_pipeline import extract, synth_source
 
     out_dir = tempfile.mkdtemp(prefix="pdf4py_ray_write_")
     try:
-        run_extraction(sf_dir, out_dir=out_dir)
+        extract(synth_source(sf_dir), out_dir)
         committed = checkpoint.committed_buckets(pafs.LocalFileSystem(), out_dir)
         return pd.DataFrame([{"sort_bucket": b, "rows": m["rows"], "errors": m["errors"]}
                              for b, m in sorted(committed.items())])

@@ -68,15 +68,17 @@ def bench_extract() -> tuple:
 
     The corpus (synthesized turns) is materialized to Parquet ONCE,
     untimed — the mission input is a Parquet turn table, so the timed
-    section is the actual pipeline: column-pruned scan → partition tag
-    → extraction tasks → sort. An untimed warm-up run first spins
+    section is the actual pipeline: column-pruned scan → extraction
+    tasks → sort. An untimed warm-up run first spins
     up the Ray task workers so the timed run measures
     steady-state throughput — the regime that matters at 100 TB.
     """
     from pdf4py_ray.pipelines.extract_pipeline import (
-        extraction_from_parquet,
+        extract,
+        extraction_dataset,
         materialize_turns,
-        run_extraction,
+        parquet_source,
+        synth_source,
     )
 
     turns_dir = materialize_turns(SF_DIR, _turns_dir(), repeat=REPEAT)
@@ -85,40 +87,23 @@ def bench_extract() -> tuple:
     # full budget starved the upstream read tasks when extraction ran
     # as an actor pool (a hard executor stall at num_cpus=4)
     pool = max(2, NUM_CPUS - 2)
-    warm = run_extraction(
-        "/root/testdata/sf0.001", out_dir=None, concurrency=pool, batch_size=16, sort=False,
-    )
-    warm.count()
+    extraction_dataset(synth_source("/root/testdata/sf0.001", concurrency=pool)).count()
 
-    # BENCH_SORT=0 → production shape (hash-partitioned output,
-    # per-partition order, no terminal sort, count only); 1 → the gate
-    # shape: range-tagged ordered WRITE + per-bucket compaction
-    # (stable_sorted_write — external sort, no object-store
-    # all-to-all); "full" → Ray's built-in sort operator on the
-    # unordered extraction
+    # BENCH_SORT=0 → production shape (unordered output, no terminal
+    # sort, count only); 1 → the gate shape: range-tagged ordered WRITE
+    # + per-bucket compaction (stable_sorted_write — external sort, no
+    # object-store all-to-all); "full" → Ray's built-in sort operator on
+    # the unordered extraction
     sort_env = os.environ.get("BENCH_SORT", "1")
     if sort_env == "1":
         import shutil
-
-        from pdf4py_ray.pipelines.extract_pipeline import (
-            sample_split_points,
-            stable_sorted_write,
-        )
 
         out_dir = f"/tmp/pdf4py_ray_gate_out_{os.getpid()}"
         shutil.rmtree(out_dir, ignore_errors=True)
         # split-point sampling is part of the external sort's real cost
         # (O(sample) — a few row groups of one column), so it is timed
         t0 = time.perf_counter()
-        splits = sample_split_points(turns_dir, num_buckets=max(64, NUM_CPUS * 2))
-        ds = extraction_from_parquet(
-            turns_dir,
-            num_partitions=max(32, NUM_CPUS * 2),
-            concurrency=pool,
-            batch_size=None,
-            sort=False,
-        )
-        n_turns = stable_sorted_write(ds, out_dir, splits)
+        n_turns = extract(parquet_source(turns_dir, concurrency=pool), out_dir, resume=False)
         dt = time.perf_counter() - t0
         shutil.rmtree(out_dir, ignore_errors=True)
         return dt, n_turns
@@ -126,13 +111,7 @@ def bench_extract() -> tuple:
     from pdf4py_ray.pipelines.extract_pipeline import SORT_KEYS
 
     t0 = time.perf_counter()
-    ds = extraction_from_parquet(
-        turns_dir,
-        num_partitions=max(32, NUM_CPUS * 2),
-        concurrency=pool,
-        batch_size=None,
-        sort=False,
-    )
+    ds = extraction_dataset(parquet_source(turns_dir, concurrency=pool))
     if sort_env != "0":
         ds = ds.sort(SORT_KEYS)
     n_turns = ds.count()

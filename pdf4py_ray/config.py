@@ -17,12 +17,12 @@ extraction pipeline's own context copy:
   cost is bounded extra object-store usage per in-flight task
   (32 × target block size), irrelevant against a 37 GiB store and
   spilling at 100 TB scale. The same 0.1 s poll leaves a freed slot
-  idle while another task still runs, so ``extraction_from_parquet``
+  idle while another task still runs, so ``parquet_source``
   gives every slot its share of an input of at most one block target
   per slot up front instead of relying on the executor to refill
   slots.
 - ``op_resource_reservation_enabled = False``, extraction only:
-  ``extraction_from_parquet`` sets it on its read's context copy,
+  ``parquet_source`` sets it on its read's context copy,
   which every stage built on that dataset shares (a sort or sorted
   write included); every other pipeline keeps the reservation. By
   default Ray Data reserves a share of the cluster for each operator

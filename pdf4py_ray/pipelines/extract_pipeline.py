@@ -2,26 +2,36 @@
 
 Lifecycle (SURVEY §3.4):
 
-    read turns (Parquet scan, or synthesized)     # stateless, column-pruned;
-                                                  # one task per slot if it fits
-      → add part_id (hash(conv_id) % P, salted)   # task map_batches
-      → ExtractTurns                              # task map_batches, pyarrow batches;
-                                                  # one extractor per worker per build
-      → then ONE of two terminals:
-        · range_sorted    # tag sort_bucket, one bucket shuffle, per-bucket
-                          # sort: consumed in order (the equality gate)
-        · stable_sorted_write  # tag sort_bucket, hive write per bucket, one
-                               # compaction task per bucket, which commits
-                               # it with a manifest: ordered, resumable output
+    a Source (one of three constructors)        # turns Dataset, split points,
+      · synth_source(sf_dir)                    # lineage identity
+      · parquet_source(turns_dir)               # column-pruned scan, one read
+                                                # task per slot if it fits
+      · sources.pdf_files.pdf_source(path)      # listed files, read in place
+      → extraction_dataset: ExtractTurns        # THE extraction stage: task
+                                                # map_batches, pyarrow batches;
+                                                # one extractor per worker per build
+      → extract() picks ONE of two terminals:
+        · range_sorted    # out_dir None: tag sort_bucket, one bucket
+                          # shuffle, per-bucket sort, consumed in order
+        · stable_sorted_write  # out_dir given: tag sort_bucket, hive write
+                               # per bucket, one compaction task per bucket,
+                               # which commits it with a manifest: ordered,
+                               # resumable output
 
-Both terminals tag rows with the same :func:`tag_sort_bucket`
-over split points from :func:`quantile_splits`, so bucket ``b`` holds
-exactly the ``conv_id`` values between split ``b-1`` and split ``b``
-and bucket order is global ``(conv_id, turn_idx)`` order. The raw-PDF
-source (``sources.pdf_files.extract_pdf_corpus``) ends in the same
-:func:`range_sorted`: its listing comes from :func:`input_files`, and
-its split points are exact, from the listed ``conv_id`` values. No
-extraction path uses Ray's own ``Dataset.sort`` or ``repartition``.
+A source's split points are computed only when :func:`extract` asks
+for them: from the documents table (synthesized input), from a sample
+of the Parquet files, or exactly from the listed PDFs' ``conv_id``
+values; each aims at ``SORT_BUCKETS`` buckets. Both terminals tag rows
+with the same :func:`tag_sort_bucket`, so bucket ``b`` holds exactly
+the ``conv_id`` values between split ``b-1`` and split ``b`` and bucket
+order is global ``(conv_id, turn_idx)`` order. No extraction path uses
+Ray's own ``Dataset.sort`` or ``repartition``.
+
+Every source resumes the same way: a bucket commits under a lineage of
+the pipeline version, the split points and the source's identity (its
+input path, and for a listed input a digest of the listing's ``(path,
+size, mtime)`` entries), so a commit names the exact input it covers
+and a changed input reuses no bucket.
 
 Every stage is a task stage: Ray starts task workers once per
 ``ray.init`` and reuses them, so an execution pays no actor start and
@@ -35,7 +45,7 @@ import functools
 import hashlib
 import json
 import os
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -52,79 +62,60 @@ __PIPELINE_VERSION__ = "r1.0"
 
 SORT_KEYS = ["conv_id", "turn_idx"]
 
+# buckets every source's split points aim at
+SORT_BUCKETS = 64
 # conv_id values read from the head of each sampled input file
 SPLIT_SAMPLE_ROWS = 8192
+# turns per extraction batch of the synthesized input
+SYNTH_BATCH_SIZE = 32
 
 
-def extraction_dataset(
-    turns_ds,
-    num_partitions: int = 32,
-    salt_turns: Optional[int] = 16,
-    concurrency: Optional[int] = None,
-    batch_size: int = 32,
-):
-    """Wire the extraction stages onto an existing turns Dataset.
+class Source(NamedTuple):
+    """One extraction input, as :func:`extract` consumes it."""
 
-    ``concurrency`` caps the extraction tasks running at once; ``None``
-    leaves it to Ray Data. ``ExtractTurns`` and ``add_part_id`` are
-    read from this module when the pipeline is built, and each build
-    gets its own extractor in each worker process.
+    turns: object  # turns Dataset, built after config.apply_engine_defaults()
+    split_points: Callable[[], list]  # called only by an ordered terminal
+    lineage: dict  # the input's identity, recorded in every bucket manifest
+    concurrency: Optional[int]  # cap on concurrent extraction tasks (None: none)
+    batch_size: Optional[int]  # turns per extraction batch (None: whole blocks)
 
-    Ray Data copies its context when a dataset is created, so engine
-    defaults (``config.apply_engine_defaults``) must be applied by the
-    caller before it builds ``turns_ds``; the entry points do."""
-    ds = turns_ds.map_batches(
-        functools.partial(add_part_id, num_partitions=num_partitions, salt_turns=salt_turns),
-        batch_format="pyarrow",
-    )
-    return ds.map_batches(
+
+def extraction_dataset(source: Source):
+    """The one extraction stage: ``ExtractTurns`` as a task stage over
+    the source's turns, unordered. ``ExtractTurns`` is read from this
+    module when the pipeline is built, and each build gets its own
+    extractor in each worker process."""
+    return source.turns.map_batches(
         task_stage("extract_turns", ExtractTurns),
         batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=source.batch_size,
+        concurrency=source.concurrency,
     )
 
 
-def run_extraction(
-    sf_dir: str,
-    out_dir: Optional[str] = None,
-    concurrency: Optional[int] = None,
-    batch_size: int = 32,
-    sort: bool = True,
-    resume: bool = True,
-):
-    """Run the flagship pipeline over a scale-factor directory, with
-    split points from its documents table
-    (:func:`_split_points_from_docs`).
+def extract(source: Source, out_dir: Optional[str] = None, resume: bool = True):
+    """Extract ``source`` in stable ``(conv_id, turn_idx)`` order.
 
-    With ``out_dir`` None, returns the result Dataset: range-sorted
-    (:func:`range_sorted`) when ``sort``, unordered otherwise. Else
-    writes it with :func:`stable_sorted_write` and returns ``out_dir``;
-    ``sort`` does not apply to the write. With ``resume``, the buckets
-    that an earlier write of the same input committed are kept: their
-    turns are dropped before extraction and the write leaves them
-    alone. An output whose manifests record other split points raises
-    ``ValueError``; ``resume=False`` rewrites every bucket.
-    ``concurrency`` caps the extraction tasks (``None``: no cap).
-    """
-    turns = synth_transcripts(sf_dir)
+    With ``out_dir`` None, returns the :func:`range_sorted` Dataset.
+    Else writes it with :func:`stable_sorted_write` and returns the row
+    count. With ``resume``, the buckets that an earlier write of the
+    same input committed are kept: their turns are dropped before
+    extraction and the write leaves them alone. An output whose
+    manifests record other split points raises ``ValueError``;
+    ``resume=False`` rewrites every bucket."""
+    splits = source.split_points()
     if out_dir is None:
-        ds = extraction_dataset(turns, concurrency=concurrency, batch_size=batch_size)
-        return range_sorted(ds, _split_points_from_docs(sf_dir)) if sort else ds
-
-    splits = _split_points_from_docs(sf_dir)
-    lineage = {"input": sf_dir} if resume else None
+        return range_sorted(extraction_dataset(source), splits)
+    lineage = source.lineage if resume else None
     if resume:
         done = _committed(*_resolve_fs(out_dir), _lineage(splits, lineage))
         if done:
-            turns = turns.map_batches(
+            source = source._replace(turns=source.turns.map_batches(
                 functools.partial(_drop_buckets, splits=np.array(splits),
                                   done=pa.array(sorted(done), type=pa.int64())),
                 batch_format="pyarrow",
-            )
-    ds = extraction_dataset(turns, concurrency=concurrency, batch_size=batch_size)
-    stable_sorted_write(ds, out_dir, splits, lineage)
-    return out_dir
+            ))
+    return stable_sorted_write(extraction_dataset(source), out_dir, splits, lineage)
 
 
 def _drop_buckets(batch: pa.Table, splits: np.ndarray, done: pa.Array) -> pa.Table:
@@ -146,7 +137,7 @@ def quantile_splits(sorted_keys, num_buckets: int) -> list:
     return sorted({sorted_keys[i] for i in ranks[ranks > 0]})
 
 
-def _split_points_from_docs(sf_dir: str, num_buckets: int = 64) -> list:
+def _split_points_from_docs(sf_dir: str) -> list:
     """conv_id split points for the synthesized corpus: quantiles of
     the documents id column, formatted with the synthesis naming
     (``conv-{doc_id:08d}``, whose lexicographic order is the numeric
@@ -156,10 +147,10 @@ def _split_points_from_docs(sf_dir: str, num_buckets: int = 64) -> list:
     ids = pq.read_table(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
     )["doc_id"].to_numpy()
-    return [f"conv-{int(i):08d}" for i in quantile_splits(np.sort(ids), num_buckets)]
+    return [f"conv-{int(i):08d}" for i in quantile_splits(np.sort(ids), SORT_BUCKETS)]
 
 
-def sample_split_points(turns_dir: str, num_buckets: int = 64) -> list:
+def sample_split_points(turns_dir: str, num_buckets: int = SORT_BUCKETS) -> list:
     """Range-sort split points: sample ``conv_id`` from a spread of up
     to 8 of the input parquet files (:func:`input_files`;
     column-pruned, the first ``SPLIT_SAMPLE_ROWS`` rows of each) and
@@ -359,9 +350,6 @@ def materialize_turns(sf_dir: str, out_dir: str, repeat: int = 1) -> str:
     data has no such table. Benchmarks materialize it once (untimed)
     and measure the actual pipeline: read_parquet → extract → sort.
     Idempotent via a done-marker."""
-    import json
-    import os
-
     marker = os.path.join(out_dir, "_DONE.json")
     if os.path.exists(marker):
         return out_dir
@@ -414,17 +402,20 @@ def _task_slots(concurrency: Optional[int]) -> int:
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
-def extraction_from_parquet(
-    turns_dir: str,
-    num_partitions: int = 64,
-    salt_turns: Optional[int] = 16,
-    concurrency: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    sort: bool = True,
-):
-    """The production-shaped pipeline: column-pruned Parquet scan of
-    transcript turns → partition tag → extraction tasks → stable
-    sort. This is what runs against the real 10^12-turn table.
+def synth_source(sf_dir: str, concurrency: Optional[int] = None) -> Source:
+    """Turns synthesized from a scale-factor directory's documents
+    table (:func:`~pdf4py_ray.sources.transcripts.synth_transcripts`),
+    with split points from that table (:func:`_split_points_from_docs`).
+    Its identity is ``sf_dir``."""
+    return Source(synth_transcripts(sf_dir), functools.partial(_split_points_from_docs, sf_dir),
+                  {"input": sf_dir}, concurrency, SYNTH_BATCH_SIZE)
+
+
+def parquet_source(turns_dir: str, concurrency: Optional[int] = None) -> Source:
+    """The production-shaped source: a column-pruned Parquet scan of
+    transcript turns (a file, or a directory's ``.parquet`` files,
+    :func:`input_files`). This is what runs against the real
+    10^12-turn table.
 
     ``concurrency`` is the slot count: the number of extraction tasks
     that run at once (``None``: the cluster's logical CPUs, no cap).
@@ -432,16 +423,11 @@ def extraction_from_parquet(
     target_max_block_size`` (Ray Data's own block target), the read
     plans one task per slot (:func:`read_task_count`), so each slot
     gets one equal share up front; a larger input keeps Ray Data's own
-    read sizing. The pipeline's dataset runs without Ray Data's
+    read sizing. The source's dataset runs without Ray Data's
     per-operator resource reservation (see :mod:`pdf4py_ray.config`);
-    other pipelines keep it.
-
-    ``sort`` (the default gate shape) applies :func:`range_sorted` —
-    split points sampled from the input, one bucket shuffle,
-    per-bucket vectorized sort, output stably ordered when consumed
-    bucket-ascending; ``sort=False`` returns the unordered extraction
-    (production shape; :func:`stable_sorted_write` orders it on
-    write)."""
+    other pipelines keep it. Split points are sampled from the same
+    listing (:func:`sample_split_points`); the identity is the listing
+    (:func:`listing_lineage`)."""
     import ray.data as rd
 
     from ..config import apply_engine_defaults
@@ -455,16 +441,36 @@ def extraction_from_parquet(
     turns = rd.read_parquet(
         turns_dir, columns=["conv_id", "turn_idx", "text", "tool"], override_num_blocks=tasks
     )
-    # this pipeline only: its stages share the read's context copy
+    # this source only: its stages share the read's context copy
     turns.context.op_resource_reservation_enabled = False
-    ds = extraction_dataset(
-        turns,
-        num_partitions=num_partitions,
-        salt_turns=salt_turns,
-        concurrency=concurrency,
-        batch_size=batch_size,
-    )
-    if not sort:
-        return ds
-    splits = _sampled_split_points(turns_dir, filesystem, files, max(64, num_partitions))
-    return range_sorted(ds, splits)
+    splits = functools.partial(_sampled_split_points, turns_dir, filesystem, files, SORT_BUCKETS)
+    return Source(turns, splits, listing_lineage(turns_dir, files), concurrency, None)
+
+
+def listing_lineage(path: str, files: list) -> dict:
+    """The identity of a listed input: ``path`` and a digest of the
+    listing's ``(path, size, mtime)`` entries, so rewriting, adding or
+    removing a file changes it."""
+    entries = [(fi.path, fi.size, fi.mtime_ns) for fi in files]
+    return {"input": path, "listing": hashlib.sha256(json.dumps(entries).encode()).hexdigest()}
+
+
+def extraction_from_parquet(
+    turns_dir: str,
+    num_partitions: int = 64,
+    salt_turns: Optional[int] = 16,
+    concurrency: Optional[int] = None,
+    sort: bool = True,
+):
+    """:func:`parquet_source`'s extraction with a ``part_id`` tag
+    (:func:`add_part_id`, read from this module when the pipeline is
+    built) before the extraction stage: :func:`extract`'s range-sorted
+    rows when ``sort``, else the unordered :func:`extraction_dataset`.
+    Nothing consumes ``part_id``; this wrapper stays while the
+    benchmark drives it."""
+    source = parquet_source(turns_dir, concurrency)
+    source = source._replace(turns=source.turns.map_batches(
+        functools.partial(add_part_id, num_partitions=num_partitions, salt_turns=salt_turns),
+        batch_format="pyarrow",
+    ))
+    return extract(source) if sort else extraction_dataset(source)

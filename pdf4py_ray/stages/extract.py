@@ -25,8 +25,9 @@ from typing import Callable, Tuple
 import numpy as np
 import pyarrow as pa
 
+from ..kernel.document import PdfDocument
 from ..kernel.html_extract import extract_html_text, looks_like_html
-from ..kernel.text import extract_pdf_text
+from ..kernel.text import extract_document_text, extract_pdf_text
 
 Span = Tuple[int, int, str]
 
@@ -62,6 +63,18 @@ def register_extractor(kind: str):
 @register_extractor("pdf")
 def _extract_pdf(payload: bytes):
     return extract_pdf_text(payload)
+
+
+@register_extractor("pdf_path")
+def _extract_pdf_path(path: str):
+    # bound to a read-only mmap: the OS pages in only the bytes the xref
+    # walk and the referenced objects touch; the mmap and fd are released
+    # per file, so a long corpus scan does not leak fds
+    doc = PdfDocument.from_file(path)
+    try:
+        return extract_document_text(doc)
+    finally:
+        doc.close()
 
 
 @register_extractor("html")
@@ -123,7 +136,11 @@ def append_output(table: pa.Table, rows) -> pa.Table:
 
 class ExtractTurns:
     """Batch extractor: ``ExtractTurns()(batch)`` over
-    ``batch_format="pyarrow"`` batches."""
+    ``batch_format="pyarrow"`` batches. A turn batch carries each
+    payload in its ``text`` column; a batch of listed files
+    (:mod:`pdf4py_ray.sources.pdf_files`) carries ``path`` and
+    ``n_bytes`` instead, and each file is a PDF read in place (the
+    ``pdf_path`` extractor)."""
 
     def __init__(self) -> None:
         self.registry = dict(_EXTRACTORS)
@@ -133,6 +150,11 @@ class ExtractTurns:
         """Total per-row kernel: never raises."""
         kind, payload = self.classify(text, tool)
         n_bytes = len(payload) if isinstance(payload, (bytes, bytearray)) else len(payload or "")
+        return self.run(kind, payload, n_bytes)
+
+    def run(self, kind: str, payload, n_bytes: int):
+        """The output row of one payload of ``kind``: the one place where
+        a kernel error becomes a ``status="error"`` row."""
         try:
             extracted, spans, n_objects = self.registry[kind](payload)
             status, error = "ok", ""
@@ -144,8 +166,14 @@ class ExtractTurns:
         return kind, extracted, spans, n_objects, n_bytes, status, error
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        tools = batch["tool"].to_pylist() if "tool" in batch.column_names else [""] * len(texts)
-        rows = [self.extract_one(text or "", tool or "") for text, tool in zip(texts, tools)]
-        # the raw payload column is heavy — drop it
-        return append_output(batch.drop_columns(["text"]), rows)
+        if "path" in batch.column_names:
+            rows = [("pdf", *self.run("pdf_path", path, n_bytes)[1:]) for path, n_bytes
+                    in zip(batch["path"].to_pylist(), batch["n_bytes"].to_pylist())]
+            consumed = ["path", "n_bytes"]
+        else:
+            texts = batch["text"].to_pylist()
+            tools = batch["tool"].to_pylist() if "tool" in batch.column_names else [""] * len(texts)
+            rows = [self.extract_one(text or "", tool or "") for text, tool in zip(texts, tools)]
+            # the raw payload column is heavy
+            consumed = ["text"]
+        return append_output(batch.drop_columns(consumed), rows)

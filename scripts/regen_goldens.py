@@ -6,6 +6,9 @@ transcript synthesis contract:
 
     python scripts/regen_goldens.py
 
+It rewrites only the goldens whose table differs and prints
+``unchanged`` for the others, so an equal golden keeps its bytes.
+
 ``python scripts/regen_goldens.py --check`` recomputes the same tables
 and compares them with the committed files without writing anything.
 
@@ -48,11 +51,31 @@ def golden_tables(q) -> dict:
     }
 
 
-def main() -> int:
-    """Write the goldens, or with ``--check`` compare the current
-    outputs with the committed goldens and write nothing (exit 1 on a
-    difference)."""
+def update(tables: dict, check: bool) -> int:
+    """Compare each table with its golden under ``OUT`` (``Table.equals``)
+    and return how many differ. Without ``check``, write only those that
+    differ; an equal golden keeps its bytes and mtime."""
     import pyarrow.parquet as pq
+
+    differ = 0
+    for name, table in tables.items():
+        path = os.path.join(OUT, name)
+        if os.path.exists(path) and table.equals(pq.read_table(path)):
+            print(name, "unchanged", f"({table.num_rows} rows)")
+            continue
+        differ += 1
+        if check:
+            print(name, "DIFFERS", f"({table.num_rows} rows)")
+        else:
+            pq.write_table(table, path)
+            print(name, "written:", table.num_rows, "rows")
+    return differ
+
+
+def main() -> int:
+    """Write the goldens that differ, or with ``--check`` compare the
+    current outputs with the committed goldens and write nothing (exit
+    1 on a difference)."""
     import ray
 
     check = "--check" in sys.argv[1:]
@@ -62,23 +85,14 @@ def main() -> int:
     import __ray_entry__ as e
 
     os.makedirs(OUT, exist_ok=True)
-    differ = 0
-    for name, table in golden_tables(e.queries()).items():
-        path = os.path.join(OUT, name)
-        if check:
-            same = table.equals(pq.read_table(path))
-            differ += not same
-            print(name, "unchanged" if same else "DIFFERS", f"({table.num_rows} rows)")
-        else:
-            pq.write_table(table, path)
-            print(name, "written:", table.num_rows, "rows")
+    differ = update(golden_tables(e.queries()), check)
 
     # NOTE: s_knn_lsh / s_knn_ivf / m_media_decode / m_frame_sample no
     # longer use goldens — their oracles are independent recomputations
     # (seed-derived SQL literals; spec-rederived media parquet).
 
     ray.shutdown()
-    return 1 if differ else 0
+    return 1 if differ and check else 0
 
 
 if __name__ == "__main__":

@@ -44,6 +44,16 @@ def reference_extraction(turns: pa.Table) -> list:
     return rows
 
 
+def table_source(table: pa.Table, concurrency=2):
+    """An extraction source over an in-memory turns table (no split
+    points, no identity) for tests of the stage and the terminals."""
+    import ray.data as rd
+
+    from pdf4py_ray.pipelines.extract_pipeline import SYNTH_BATCH_SIZE, Source
+
+    return Source(rd.from_arrow(table), None, {}, concurrency, SYNTH_BATCH_SIZE)
+
+
 def test_synthesis_deterministic(turns_table):
     from pdf4py_ray.sources.transcripts import synth_transcripts
 
@@ -63,14 +73,11 @@ def test_payload_mix(turns_table):
 
 
 def test_equality_gate_pipeline_vs_kernel(ray_session, turns_table):
-    import ray.data as rd
-
     from pdf4py_ray.pipelines.extract_pipeline import extraction_dataset, SORT_KEYS
 
     expected = reference_extraction(turns_table)
 
-    ds = rd.from_arrow(turns_table)
-    out = extraction_dataset(ds, num_partitions=8, concurrency=2).sort(SORT_KEYS)
+    out = extraction_dataset(table_source(turns_table)).sort(SORT_KEYS)
     got = out.select_columns(["conv_id", "turn_idx", "kind", "extracted_text", "status"]).take_all()
 
     assert len(got) == len(expected)
@@ -81,24 +88,18 @@ def test_equality_gate_pipeline_vs_kernel(ray_session, turns_table):
 
 
 def test_error_rows_do_not_poison(ray_session, turns_table):
-    import ray.data as rd
-
     from pdf4py_ray.pipelines.extract_pipeline import extraction_dataset
 
-    ds = rd.from_arrow(turns_table)
-    out = extraction_dataset(ds, num_partitions=4, concurrency=2)
+    out = extraction_dataset(table_source(turns_table))
     statuses = set(r["status"] for r in out.select_columns(["status"]).take_all())
     assert "error" in statuses  # the corrupt payloads surfaced as rows
     assert "ok" in statuses
 
 
 def test_spans_index_into_text(ray_session, turns_table):
-    import ray.data as rd
-
     from pdf4py_ray.pipelines.extract_pipeline import extraction_dataset
 
-    ds = rd.from_arrow(turns_table.slice(0, 60))
-    for row in extraction_dataset(ds, num_partitions=4, concurrency=2).take_all():
+    for row in extraction_dataset(table_source(turns_table.slice(0, 60))).take_all():
         text = row["extracted_text"]
         for span in row["spans"] or []:
             assert 0 <= span["start"] <= span["end"] <= len(text)
@@ -118,12 +119,13 @@ def test_resumable_write_and_manifests(ray_session, tmp_path):
     from pdf4py_ray.pipelines.extract_pipeline import (
         __PIPELINE_VERSION__,
         _split_points_from_docs,
-        run_extraction,
+        extract,
+        synth_source,
     )
 
     out_dir = str(tmp_path / "out")
     local = pafs.LocalFileSystem()
-    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    extract(synth_source(SF_DIR, concurrency=2), out_dir)
     done = checkpoint.committed_buckets(local, out_dir)
     assert done, "no manifests written"
     m = done[min(done)]
@@ -138,28 +140,62 @@ def test_resumable_write_and_manifests(ray_session, tmp_path):
     # resume: all buckets committed → second run writes nothing new
     dirs = checkpoint.bucket_dirs(local, out_dir)
     mtimes = {b: os.path.getmtime(dirs[b] + "/_MANIFEST.json") for b in done}
-    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    extract(synth_source(SF_DIR, concurrency=2), out_dir)
     for b, t in mtimes.items():
         assert os.path.getmtime(dirs[b] + "/_MANIFEST.json") == t
 
 
-def test_resume_after_a_crash_equals_a_clean_run(ray_session, tmp_path):
-    """Crash injection: three buckets lose their commit record; one of
-    them also holds a stray fragment and another lost its
-    ``sorted.parquet``. The resumed write gives a tree byte-equal to the
-    clean run's and leaves every committed bucket's files untouched."""
+def source_of(kind: str, tmp_path):
+    """A constructor of a ``kind`` source over a small input: the
+    synthesized sf0.001 turns, the same turns as a Parquet directory, or
+    a directory of twelve PDFs and a corrupt one."""
+    from pdf4py_ray.kernel import pdfgen
+    from pdf4py_ray.pipelines import extract_pipeline as xp
+    from pdf4py_ray.sources.pdf_files import pdf_source
+
+    if kind == "synth":
+        return lambda: xp.synth_source(SF_DIR, concurrency=2)
+    if kind == "parquet":
+        turns_dir = xp.materialize_turns(SF_DIR, str(tmp_path / "turns"))
+        return lambda: xp.parquet_source(turns_dir, concurrency=2)
+    (tmp_path / "pdfs").mkdir()
+    for i in range(12):
+        (tmp_path / "pdfs" / f"doc{i:02d}.pdf").write_bytes(pdfgen.minimal_pdf((f"text {i:02d}",)))
+    (tmp_path / "pdfs" / "bad.pdf").write_bytes(b"%PDF-1.7\nnot really a pdf")
+    return lambda: pdf_source(str(tmp_path / "pdfs"), concurrency=2)
+
+
+def _tree(root: str) -> dict:
+    return {os.path.relpath(os.path.join(d, n), root): open(os.path.join(d, n), "rb").read()
+            for d, _, names in os.walk(root) for n in names}
+
+
+def _mtimes(root: str) -> dict:
+    return {os.path.relpath(os.path.join(d, n), root): os.stat(os.path.join(d, n)).st_mtime_ns
+            for d, _, names in os.walk(root) for n in names}
+
+
+@pytest.mark.parametrize("kind", ["synth", "parquet", "pdf"])
+def test_resume_after_a_crash_equals_a_clean_run(ray_session, tmp_path, kind):
+    """Crash injection, for each source: three buckets lose their commit
+    record; one of them also holds a stray fragment and another lost
+    its ``sorted.parquet``. The resumed write gives a tree byte-equal to
+    the clean run's and leaves every committed bucket's files
+    untouched."""
     import shutil
 
     import pyarrow.parquet as pq
     from pyarrow import fs as pafs
 
     from pdf4py_ray.pipelines import checkpoint
-    from pdf4py_ray.pipelines.extract_pipeline import run_extraction
+    from pdf4py_ray.pipelines.extract_pipeline import extract
 
+    make = source_of(kind, tmp_path)
     out_dir, clean = str(tmp_path / "out"), str(tmp_path / "clean")
-    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    extract(make(), out_dir)
     shutil.copytree(out_dir, clean)
     dirs = checkpoint.bucket_dirs(pafs.LocalFileSystem(), out_dir)
+    assert len(dirs) > 4
     victims = sorted(dirs)[1:4]
     for b in victims:
         os.remove(dirs[b] + "/_MANIFEST.json")
@@ -171,24 +207,69 @@ def test_resume_after_a_crash_equals_a_clean_run(ray_session, tmp_path):
         return {n: os.stat(os.path.join(dirs[b], n)).st_mtime_ns for n in os.listdir(dirs[b])}
 
     committed = {b: stats(b) for b in dirs if b not in victims}
-    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    extract(make(), out_dir)
 
-    def tree(root):
-        return {os.path.relpath(os.path.join(d, n), root): open(os.path.join(d, n), "rb").read()
-                for d, _, names in os.walk(root) for n in names}
-
-    assert tree(out_dir) == tree(clean)
+    assert _tree(out_dir) == _tree(clean)
     for b, before in committed.items():
         assert stats(b) == before
+
+
+def _change_listing(kind: str, tmp_path, change: str) -> None:
+    """Rewrite one input file (same conv_ids, other text), or add one."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from pdf4py_ray.kernel import pdfgen
+
+    if kind == "pdf":
+        name, text = ("doc03.pdf", "TEXT 03") if change == "rewrite" else ("doc99.pdf", "text 99")
+        (tmp_path / "pdfs" / name).write_bytes(pdfgen.minimal_pdf((text,)))
+        return
+    path = sorted(glob.glob(str(tmp_path / "turns" / "*.parquet")))[0]
+    t = pq.read_table(path)
+    if change == "rewrite":
+        pq.write_table(t.set_column(t.schema.get_field_index("text"), "text",
+                                    pa.array(["changed"] * t.num_rows, pa.string())), path)
+    else:
+        pq.write_table(t.set_column(0, "conv_id", pa.array(
+            [f"zz-{c}" for c in t["conv_id"].to_pylist()], pa.string())),
+            str(tmp_path / "turns" / "added.parquet"))
+
+
+@pytest.mark.parametrize("change", ["rewrite", "add"])
+@pytest.mark.parametrize("kind", ["parquet", "pdf"])
+def test_resume_reuses_no_bucket_of_a_changed_listing(ray_session, tmp_path, kind, change):
+    """A listed input's identity is its listing: after one file is
+    rewritten or added, a resumed write keeps no committed bucket. It
+    raises when the split points moved, else it rewrites every bucket
+    into the tree a clean run over the changed input gives."""
+    from pdf4py_ray.pipelines.extract_pipeline import extract
+
+    make = source_of(kind, tmp_path)
+    out_dir, clean = str(tmp_path / "out"), str(tmp_path / "clean")
+    before_splits = make().split_points()
+    extract(make(), out_dir)
+    old = _mtimes(out_dir)
+    _change_listing(kind, tmp_path, change)
+    if make().split_points() != before_splits:
+        with pytest.raises(ValueError, match="Cannot resume"):
+            extract(make(), out_dir)
+        return
+    extract(make(), out_dir)
+    extract(make(), clean)
+    assert _tree(out_dir) == _tree(clean)
+    assert not {f for f, t in _mtimes(out_dir).items() if old.get(f) == t}
 
 
 def test_materialize_and_extract_from_parquet(ray_session, tmp_path):
     """The production-shaped path (turn Parquet in) must agree with the
     in-memory synthesis path row for row."""
     from pdf4py_ray.pipelines.extract_pipeline import (
+        extract,
         extraction_from_parquet,
         materialize_turns,
-        run_extraction,
+        synth_source,
     )
 
     turns_dir = materialize_turns(SF_DIR, str(tmp_path / "turns"))
@@ -198,8 +279,8 @@ def test_materialize_and_extract_from_parquet(ray_session, tmp_path):
     via_parquet = extraction_from_parquet(
         turns_dir, num_partitions=8, concurrency=2
     ).select_columns(["conv_id", "turn_idx", "extracted_text", "status"]).take_all()
-    via_memory = run_extraction(
-        SF_DIR, out_dir=None, concurrency=2
+    via_memory = extract(
+        synth_source(SF_DIR, concurrency=2)
     ).select_columns(["conv_id", "turn_idx", "extracted_text", "status"]).take_all()
     assert via_parquet == via_memory
 
@@ -209,7 +290,7 @@ def test_extract_from_a_single_parquet_file(ray_session, tmp_path):
     sorted or not."""
     import pyarrow.parquet as pq
 
-    from pdf4py_ray.pipelines.extract_pipeline import extraction_from_parquet
+    from pdf4py_ray.pipelines.extract_pipeline import extract, extraction_dataset, parquet_source
 
     (tmp_path / "turns").mkdir()
     path = str(tmp_path / "turns" / "part-0.parquet")
@@ -220,7 +301,7 @@ def test_extract_from_a_single_parquet_file(ray_session, tmp_path):
     }), path)
     cols = ["conv_id", "turn_idx", "extracted_text", "status"]
     for sort in (True, False):
-        rows = [extraction_from_parquet(p, num_partitions=4, concurrency=2, sort=sort)
+        rows = [(extract if sort else extraction_dataset)(parquet_source(p, concurrency=2))
                 .select_columns(cols).take_all() for p in (path, str(tmp_path / "turns"))]
         if not sort:
             rows = [sorted(r, key=lambda row: (row["conv_id"], row["turn_idx"])) for r in rows]
@@ -244,18 +325,18 @@ def test_resume_cleans_crashed_partial_partitions(ray_session, tmp_path):
     from pyarrow import fs as pafs
 
     from pdf4py_ray.pipelines import checkpoint
-    from pdf4py_ray.pipelines.extract_pipeline import run_extraction
+    from pdf4py_ray.pipelines.extract_pipeline import extract, synth_source
 
     out_dir = str(tmp_path / "out")
     local = pafs.LocalFileSystem()
-    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    extract(synth_source(SF_DIR, concurrency=2), out_dir)
     done = checkpoint.committed_buckets(local, out_dir)
     victim = min(done)
     total = pads.dataset(out_dir, format="parquet", partitioning="hive").count_rows()
 
     # simulate the crash: parquet files present, manifest gone
     os.remove(os.path.join(checkpoint.bucket_dirs(local, out_dir)[victim], "_MANIFEST.json"))
-    run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    extract(synth_source(SF_DIR, concurrency=2), out_dir)
     assert checkpoint.committed_buckets(local, out_dir) == done
     after = pads.dataset(out_dir, format="parquet", partitioning="hive").count_rows()
     assert after == total  # no duplicated rows from appended files
@@ -270,14 +351,14 @@ def test_resume_rejects_changed_partitioning(ray_session, tmp_path, monkeypatch)
     from pdf4py_ray.pipelines import extract_pipeline as xp
 
     out_dir = str(tmp_path / "out")
-    xp.run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+    xp.extract(xp.synth_source(SF_DIR, concurrency=2), out_dir)
     n = sum(m["rows"] for m in checkpoint.committed_buckets(pafs.LocalFileSystem(), out_dir).values())
     coarser = xp._split_points_from_docs(SF_DIR)[::2]
     monkeypatch.setattr(xp, "_split_points_from_docs", lambda sf_dir: coarser)
     with pytest.raises(ValueError, match="Cannot resume"):
-        xp.run_extraction(SF_DIR, out_dir=out_dir, concurrency=2)
+        xp.extract(xp.synth_source(SF_DIR, concurrency=2), out_dir)
     # resume=False rewrites from scratch instead
-    xp.run_extraction(SF_DIR, out_dir=out_dir, concurrency=2, resume=False)
+    xp.extract(xp.synth_source(SF_DIR, concurrency=2), out_dir, resume=False)
     committed = checkpoint.committed_buckets(pafs.LocalFileSystem(), out_dir)
     assert sorted(committed) == list(range(len(coarser) + 1))
     assert {m["lineage"]["split_digest"] for m in committed.values()} == {_split_digest(coarser)}
@@ -287,23 +368,20 @@ def test_resume_rejects_changed_partitioning(ray_session, tmp_path, monkeypatch)
 def test_range_sorted_equals_full_sort(ray_session, turns_table):
     """Bucket-ascending concatenation of range_sorted output must equal
     Ray's global sort exactly (the stable-order gate contract)."""
-    import ray.data as rd
-
     from pdf4py_ray.pipelines.extract_pipeline import (
         SORT_KEYS,
         extraction_dataset,
         range_sorted,
     )
 
-    ds = rd.from_arrow(turns_table)
-    base = extraction_dataset(ds, num_partitions=8, concurrency=2)
+    base = extraction_dataset(table_source(turns_table))
     full = base.sort(SORT_KEYS).select_columns(
         ["conv_id", "turn_idx", "extracted_text"]).take_all()
 
     convs = sorted({r["conv_id"] for r in turns_table.select(["conv_id"]).to_pylist()})
     splits = convs[1::3]  # arbitrary valid split points
     ranged = range_sorted(
-        extraction_dataset(rd.from_arrow(turns_table), num_partitions=8, concurrency=2),
+        extraction_dataset(table_source(turns_table)),
         splits,
     ).select_columns(["sort_bucket", "conv_id", "turn_idx", "extracted_text"]).take_all()
 
@@ -325,7 +403,6 @@ def test_stable_sorted_write_ordered_output(ray_session, tmp_path, turns_table):
 
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray.data as rd
     from pyarrow import fs as pafs
 
     from pdf4py_ray.pipelines import checkpoint
@@ -338,7 +415,7 @@ def test_stable_sorted_write_ordered_output(ray_session, tmp_path, turns_table):
     convs = sorted({r["conv_id"] for r in turns_table.select(["conv_id"]).to_pylist()})
     splits = convs[1::4]
     out = str(tmp_path / "ssw")
-    ds = extraction_dataset(rd.from_arrow(turns_table), num_partitions=8, concurrency=2)
+    ds = extraction_dataset(table_source(turns_table))
     n = stable_sorted_write(ds, out, splits)
     assert n == len(turns_table)
 
@@ -348,7 +425,7 @@ def test_stable_sorted_write_ordered_output(ray_session, tmp_path, turns_table):
     )
     got_tbl = pa.concat_tables(pq.read_table(p, columns=["conv_id", "turn_idx"]) for p in parts)
     got = list(zip(got_tbl["conv_id"].to_pylist(), got_tbl["turn_idx"].to_pylist()))
-    full = extraction_dataset(rd.from_arrow(turns_table), num_partitions=8, concurrency=2)
+    full = extraction_dataset(table_source(turns_table))
     want = [(r["conv_id"], r["turn_idx"])
             for r in full.sort(SORT_KEYS).select_columns(["conv_id", "turn_idx"]).take_all()]
     assert got == want
@@ -377,7 +454,6 @@ def test_stable_sorted_write_through_fs_uri(ray_session, tmp_path, turns_table):
     POSIX-path run produce byte-identical sorted buckets."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray.data as rd
     from pyarrow import fs as pafs
 
     from pdf4py_ray.pipelines.extract_pipeline import (
@@ -390,7 +466,7 @@ def test_stable_sorted_write_through_fs_uri(ray_session, tmp_path, turns_table):
 
     outs = []
     for out_dir in [str(tmp_path / "posix"), f"file://{tmp_path}/uri"]:
-        ds = extraction_dataset(rd.from_arrow(turns_table), num_partitions=8, concurrency=2)
+        ds = extraction_dataset(table_source(turns_table))
         n = stable_sorted_write(ds, out_dir, splits)
         assert n == len(turns_table)
         base = out_dir.replace("file://", "")
@@ -463,14 +539,14 @@ def test_run_extraction_range_sort_equals_full_sort(ray_session):
     documents table, yields Ray's global sort row for row."""
     from pdf4py_ray.pipelines.extract_pipeline import (
         SORT_KEYS,
+        extract,
         extraction_dataset,
-        run_extraction,
+        synth_source,
     )
-    from pdf4py_ray.sources.transcripts import synth_transcripts
 
-    full = extraction_dataset(synth_transcripts(SF_DIR)).sort(SORT_KEYS)
+    full = extraction_dataset(synth_source(SF_DIR)).sort(SORT_KEYS)
     cols = full.columns()
-    ranged = run_extraction(SF_DIR, out_dir=None).select_columns(cols).take_all()
+    ranged = extract(synth_source(SF_DIR)).select_columns(cols).take_all()
     assert ranged == full.select_columns(cols).take_all()
 
 
@@ -570,3 +646,79 @@ def test_input_files_suffix_ignores_case(tmp_path):
         (tmp_path / name).write_bytes(b"")
     _, files = input_files(str(tmp_path), ".parquet")
     assert [f.base_name for f in files] == ["Y.PARQUET", "x.parquet"]
+
+
+def test_sorted_parquet_split_points_do_not_follow_num_partitions(ray_session, tmp_path,
+                                                                    monkeypatch):
+    """The sorted Parquet path takes ``SORT_BUCKETS`` buckets whatever
+    ``num_partitions`` is: 4 and 128 partitions give the same split
+    points over 200 distinct conv_ids."""
+    import pyarrow.parquet as pq
+
+    from pdf4py_ray.pipelines import extract_pipeline as xp
+
+    pq.write_table(pa.table({
+        "conv_id": [f"conv-{i:04d}" for i in range(200)],
+        "turn_idx": pa.array([0] * 200, pa.int32()),
+        "text": ["t"] * 200, "tool": [""] * 200,
+    }), str(tmp_path / "part-0.parquet"))
+    seen = []
+    monkeypatch.setattr(xp, "range_sorted", lambda ds, splits: seen.append(splits) or ds)
+    for num_partitions in (4, 128):
+        xp.extraction_from_parquet(str(tmp_path), num_partitions=num_partitions, concurrency=2)
+    assert len(seen[0]) == 63
+    assert seen[0] == seen[1]
+
+
+def _logical_ops(ds) -> list:
+    """The logical operators of a linear plan, source first."""
+    ops, op = [], ds._logical_plan.dag
+    while op is not None:
+        ops.append(op)
+        op = op.input_dependencies[0] if op.input_dependencies else None
+    return ops[::-1]
+
+
+def test_parquet_extraction_plan_is_pinned(ray_session, tmp_path):
+    """The plan the benchmark's Parquet extraction runs: read → part_id
+    tag → extraction, two extraction tasks at once on whole blocks, one
+    read task per slot, and Ray Data's per-operator reservation off on
+    this dataset only."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from pdf4py_ray.pipelines.extract_pipeline import extraction_from_parquet
+
+    for k in range(2):
+        pq.write_table(pa.table({
+            "conv_id": [f"conv-{k}-{i}" for i in range(4)],
+            "turn_idx": pa.array(range(4), pa.int32()),
+            "text": ["plain text turn"] * 4, "tool": [""] * 4,
+        }), str(tmp_path / f"part-{k}.parquet"))
+    ds = extraction_from_parquet(str(tmp_path), num_partitions=8, concurrency=2, sort=False)
+    read, tag, stage = _logical_ops(ds)
+    assert [op.name for op in (read, tag, stage)] == [
+        "ReadParquet", "MapBatches(add_part_id)", "MapBatches(extract_turns)"]
+    assert read._parallelism == 2
+    assert stage._compute.size == 2 and stage._batch_size is None
+    assert tag._compute.size is None and tag._batch_size is None
+    assert ds.context.op_resource_reservation_enabled is False
+    assert rd.DataContext.get_current().op_resource_reservation_enabled is True
+
+
+@pytest.mark.parametrize("kind", ["synth", "parquet", "pdf"])
+def test_swapped_extract_turns_runs_for_every_source(ray_session, tmp_path, monkeypatch, kind):
+    """``ExtractTurns`` is read from the pipeline module when a pipeline
+    is built, so a subclass swapped in there (as the benchmark's traced
+    run does) is the one extraction stage of every source."""
+    from pdf4py_ray.pipelines import extract_pipeline as xp
+
+    class Marked(xp.ExtractTurns):
+        def __call__(self, batch):
+            out = super().__call__(batch)
+            return out.append_column("marked", pa.array([True] * out.num_rows))
+
+    make = source_of(kind, tmp_path)
+    monkeypatch.setattr(xp, "ExtractTurns", Marked)
+    rows = xp.extract(make()).select_columns(["marked", "status"]).take_all()
+    assert rows and all(r["marked"] for r in rows)

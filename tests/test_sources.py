@@ -1,5 +1,6 @@
-"""The raw-PDF-directory source: listed files → mmap extraction →
-range-sorted rows, each equal to the in-process kernel oracle."""
+"""The raw-PDF-directory source: listed files → the one extraction
+stage, which mmaps each file → range-sorted rows, each equal to the
+in-process kernel oracle."""
 
 import os
 
@@ -72,19 +73,21 @@ def test_pdf_corpus_rows_equal_kernel_oracle(ray_session, tmp_path, kind):
     """Every row equals the kernel run on the file's bytes, in
     ``(conv_id, turn_idx)`` order, for a directory, a nested tree and a
     single file (one row)."""
-    from pdf4py_ray.sources.pdf_files import extract_pdf_corpus
+    from pdf4py_ray.pipelines.extract_pipeline import extract
+    from pdf4py_ray.sources.pdf_files import pdf_source
 
     path, root, files = _layout(kind, tmp_path)
     want = sorted((_oracle_row(f, root) for f in files), key=lambda r: r["conv_id"])
-    got = [{k: r[k] for k in want[0]} for r in _in_order(extract_pdf_corpus(path).take_all())]
+    got = [{k: r[k] for k in want[0]} for r in _in_order(extract(pdf_source(path)).take_all())]
     assert got == want
     assert any(r["status"] == "error" for r in want) == (kind == "flat")
 
 
 def test_extract_pdf_corpus_end_to_end(ray_session, pdf_dir):
-    from pdf4py_ray.sources.pdf_files import extract_pdf_corpus
+    from pdf4py_ray.pipelines.extract_pipeline import extract
+    from pdf4py_ray.sources.pdf_files import pdf_source
 
-    out = {r["conv_id"]: r for r in extract_pdf_corpus(pdf_dir, concurrency=2).take_all()}
+    out = {r["conv_id"]: r for r in extract(pdf_source(pdf_dir, concurrency=2)).take_all()}
     assert out["file-a"]["extracted_text"] == "alpha text"
     assert out["file-b"]["extracted_text"] == "beta text"
     assert out["file-c"]["extracted_text"] == "gamma text"
@@ -95,13 +98,14 @@ def test_extract_pdf_corpus_streaming_error_totality(ray_session, tmp_path):
     """A corrupt file yields a status=error row and never poisons the
     batch; fds are released per file (PdfDocument.close)."""
     from pdf4py_ray.kernel import pdfgen
-    from pdf4py_ray.sources.pdf_files import extract_pdf_corpus
+    from pdf4py_ray.pipelines.extract_pipeline import extract
+    from pdf4py_ray.sources.pdf_files import pdf_source
 
     d = tmp_path / "pdfs"
     d.mkdir()
     (d / "good.pdf").write_bytes(pdfgen.minimal_pdf(("fine",)))
     (d / "bad.pdf").write_bytes(b"%PDF-1.7\nnot really a pdf")
-    rows = {r["conv_id"]: r for r in extract_pdf_corpus(str(d), concurrency=2).take_all()}
+    rows = {r["conv_id"]: r for r in extract(pdf_source(str(d), concurrency=2)).take_all()}
     assert rows["file-good"]["status"] == "ok"
     assert rows["file-good"]["extracted_text"] == "fine"
     assert rows["file-bad"]["status"] == "error"
@@ -112,7 +116,8 @@ def test_nested_same_name_files_keep_distinct_conv_ids(ray_session, tmp_path):
     """``a/x.pdf`` and ``b/x.pdf`` are two conversations; a top-level
     file keeps its plain ``file-<stem>`` id."""
     from pdf4py_ray.kernel import pdfgen
-    from pdf4py_ray.sources.pdf_files import extract_pdf_corpus
+    from pdf4py_ray.pipelines.extract_pipeline import extract
+    from pdf4py_ray.sources.pdf_files import pdf_source
 
     for sub, text in (("a", "from a"), ("b", "from b")):
         (tmp_path / sub).mkdir()
@@ -120,7 +125,7 @@ def test_nested_same_name_files_keep_distinct_conv_ids(ray_session, tmp_path):
     (tmp_path / "top.pdf").write_bytes(pdfgen.minimal_pdf(("top level",)))
     want = {"file-a/x": "from a", "file-b/x": "from b", "file-top": "top level"}
 
-    ds = extract_pdf_corpus(str(tmp_path), concurrency=2)
+    ds = extract(pdf_source(str(tmp_path), concurrency=2))
     rows = ds.select_columns(["conv_id", "extracted_text"]).take_all()
     assert len(rows) == 3
     assert {r["conv_id"]: r["extracted_text"] for r in rows} == want
@@ -128,23 +133,25 @@ def test_nested_same_name_files_keep_distinct_conv_ids(ray_session, tmp_path):
 
 def test_pdf_corpus_plan_has_one_range_sort(ray_session, tmp_path):
     """The listing is cut into blocks without a repartition, and the
-    only sort is ``range_sorted``'s bucket shuffle. Only local paths
-    build: the workers mmap the files."""
+    only sort is ``range_sorted``'s bucket shuffle, after the one
+    extraction stage. Only local paths build: the workers mmap the
+    files."""
     from ray.data._internal.logical.operators.all_to_all_operator import Repartition, Sort
 
     from pdf4py_ray.kernel import pdfgen
-    from pdf4py_ray.sources.pdf_files import extract_pdf_corpus
+    from pdf4py_ray.pipelines.extract_pipeline import extract
+    from pdf4py_ray.sources.pdf_files import pdf_source
 
     for i in range(3):
         (tmp_path / f"{i}.pdf").write_bytes(pdfgen.minimal_pdf((f"doc {i}",)))
-    ops, stack = [], [extract_pdf_corpus(str(tmp_path))._logical_plan.dag]
+    ops, stack = [], [extract(pdf_source(str(tmp_path)))._logical_plan.dag]
     while stack:
         ops.append(stack.pop())
         stack.extend(ops[-1].input_dependencies)
     assert not [op for op in ops if isinstance(op, Repartition)]
     sorts = [op for op in ops if isinstance(op, Sort)]
     assert [op._sort_key.get_columns() for op in sorts] == [["sort_bucket"]]
-    assert any(op.name == "MapBatches(extract_pdf_from_path)" for op in ops)
+    assert any(op.name == "MapBatches(extract_turns)" for op in ops)
 
     with pytest.raises(ValueError):
-        extract_pdf_corpus("mock://corpus/pdfs")
+        pdf_source("mock://corpus/pdfs")

@@ -9,7 +9,7 @@ import textwrap
 
 import pyarrow as pa
 import pytest
-from test_pipeline import SF_DIR
+from test_pipeline import SF_DIR, table_source
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -133,23 +133,28 @@ def test_stages_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
     import ray.data as rd
 
     from pdf4py_ray.kernel import pdfgen
-    from pdf4py_ray.pipelines.extract_pipeline import extraction_dataset
-    from pdf4py_ray.sources.pdf_files import extract_pdf_corpus
+    from pdf4py_ray.pipelines.extract_pipeline import (
+        extract,
+        extraction_dataset,
+        parquet_source,
+        synth_source,
+    )
+    from pdf4py_ray.sources.pdf_files import pdf_source
     from pdf4py_ray.sources.transcripts import synth_transcripts
     from pdf4py_ray.stages import dedup
 
-    for fn in (extraction_dataset, extract_pdf_corpus, dedup.minhash_dup_pairs):
+    for fn in (synth_source, parquet_source, pdf_source, dedup.minhash_dup_pairs):
         assert inspect.signature(fn).parameters["concurrency"].default is None
 
     turns = synth_transcripts(SF_DIR, ray_data=False).slice(0, 40)
-    ds = extraction_dataset(rd.from_arrow(turns), num_partitions=4)
+    ds = extraction_dataset(table_source(turns, concurrency=None))
     assert ("MapBatches(extract_turns)", False) in _map_ops(ds)
     assert not [op for op in _map_ops(ds) if op[1]]
     assert ds.count() == 40
 
     (tmp_path / "a.pdf").write_bytes(pdfgen.minimal_pdf(("alpha text",)))
-    ds = extract_pdf_corpus(str(tmp_path))
-    assert ("MapBatches(extract_pdf_from_path)", False) in _map_ops(ds)
+    ds = extract(pdf_source(str(tmp_path)))
+    assert ("MapBatches(extract_turns)", False) in _map_ops(ds)
     assert not [op for op in _map_ops(ds) if op[1]]
     assert ds.take_all()[0]["extracted_text"] == "alpha text"
 
