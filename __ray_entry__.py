@@ -418,7 +418,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_pricing_summary": rel.pricing_summary,
         "q_revenue_by_segment": rel.revenue_by_segment,
         "q_orders_per_nation": rel.orders_per_nation,
-        "q_orders_per_nation_native": rel.orders_per_nation_native,
         "q_event_gaps": rel.event_gaps,
         "q_users_per_event_type": rel.users_per_event_type,
         "q_customer_order_counts": rel.customer_order_counts,
@@ -895,13 +894,6 @@ def _oracle_sql_base() -> dict[str, str]:
             WHERE NOT EXISTS (SELECT 1 FROM orders o
                               WHERE o.o_custkey = c.c_custkey
                                 AND o.o_totalprice > 440000.0)
-        """,
-        "q_orders_per_nation_native": """
-            SELECT c_nationkey,
-                   CAST(COUNT(*) AS BIGINT) AS n_orders,
-                   CAST(SUM(CAST(floor(o_totalprice*100 + 0.5) AS BIGINT)) AS BIGINT) AS revenue_cents
-            FROM orders JOIN customer ON o_custkey = c_custkey
-            GROUP BY c_nationkey
         """,
         "q_customers_per_region": """
             SELECT r_name, CAST(COUNT(*) AS BIGINT) AS n_customers

@@ -12,7 +12,7 @@ Layout
   parser, xref resolution, stream filters, crypto, content-stream text
   extraction, HTML boilerplate stripping. Pure Python, no Ray imports.
 - ``pdf4py_ray.stages``    — Ray Data batch transforms (map_batches
-  callables / actor classes) built on the kernel.
+  callables / task-stage classes) built on the kernel.
 - ``pdf4py_ray.sources``   — input readers and the deterministic
   transcript-table synthesizer.
 - ``pdf4py_ray.pipelines`` — end-to-end Dataset pipelines + checkpoint

@@ -24,6 +24,8 @@ so no execution pays an actor start or holds a CPU for an idle pool.
 
 from __future__ import annotations
 
+import sys
+import types
 import uuid
 from collections import OrderedDict
 
@@ -34,8 +36,38 @@ import numpy as np
 # saw. 4 slots covers any single stage (one or two refs) with room
 # for stage overlap; evicted refs simply re-deserialize once.
 _CACHE_SLOTS = 4
-_cache: OrderedDict = OrderedDict()
 _MISS = object()
+
+# The per-process slots live in ``sys.modules``, looked up at call time:
+# a by-value task (``__ray_entry__`` ships the package by value) gets its
+# own copy of this module's globals, but ``sys`` is the worker's own. The
+# name is outside the package, so by-value registration skips it.
+_STATE_MODULE = "_pdf4py_ray_process_state"
+
+
+def process_state():
+    """This process's ``cache`` (for :func:`cached_get`) and
+    ``instances`` (for :func:`task_stage`), both LRU ``OrderedDict``s,
+    shared by every copy of this module in the process."""
+    state = sys.modules.get(_STATE_MODULE)
+    if state is None:
+        state = types.ModuleType(_STATE_MODULE)
+        state.cache, state.instances = OrderedDict(), OrderedDict()
+        sys.modules[_STATE_MODULE] = state
+    return state
+
+
+def _memo(table: OrderedDict, key, slots: int, make):
+    """``table[key]``, made by ``make()`` on a miss (a made ``None``
+    included); LRU, at most ``slots`` entries."""
+    val = table.get(key, _MISS)
+    if val is _MISS:
+        val = table[key] = make()
+        if len(table) > slots:
+            table.popitem(last=False)
+    else:
+        table.move_to_end(key)
+    return val
 
 
 def cached_get(ref):
@@ -49,16 +81,7 @@ def cached_get(ref):
     """
     import ray
 
-    key = ref.hex()
-    val = _cache.get(key, _MISS)
-    if val is _MISS:
-        val = ray.get(ref)
-        _cache[key] = val
-        if len(_cache) > _CACHE_SLOTS:
-            _cache.popitem(last=False)
-    else:
-        _cache.move_to_end(key)
-    return val
+    return _memo(process_state().cache, ref.hex(), _CACHE_SLOTS, lambda: ray.get(ref))
 
 
 def sorted_lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> tuple:
@@ -76,23 +99,12 @@ def sorted_lookup(keys: np.ndarray, values: np.ndarray, query: np.ndarray) -> tu
 # Stage instances of recent pipeline builds in this worker process,
 # keyed by build token (LRU): concurrent builds each keep theirs, and
 # an instance outlives its run only until newer builds push it out.
-# When the package is shipped by value (``__ray_entry__`` registers it
-# with cloudpickle), every task unpickles its own copy of these module
-# globals, so an instance — and a ``cached_get`` entry — lasts one task.
 _STAGE_SLOTS = 4
-_instances: OrderedDict = OrderedDict()
 
 
 def stage_instance(token: str, cls, args: tuple, kwargs: dict):
     """This process's ``cls(*args, **kwargs)`` for the build ``token``."""
-    inst = _instances.get(token)
-    if inst is None:
-        inst = _instances[token] = cls(*args, **kwargs)
-        if len(_instances) > _STAGE_SLOTS:
-            _instances.popitem(last=False)
-    else:
-        _instances.move_to_end(token)
-    return inst
+    return _memo(process_state().instances, token, _STAGE_SLOTS, lambda: cls(*args, **kwargs))
 
 
 def task_stage(name: str, cls, *args, **kwargs):
@@ -109,8 +121,6 @@ def task_stage(name: str, cls, *args, **kwargs):
     token = uuid.uuid4().hex
 
     def stage(batch):
-        # a module-level function, so the worker resolves the real
-        # per-process slots rather than a pickled copy of them
         return stage_instance(token, cls, args, kwargs)(batch)
 
     stage.__name__ = name

@@ -115,7 +115,7 @@ class PdfDocument:
         # analogue (``parser.py:415``) with per-document lifetime.
         # Bounded like the reference's: an unbounded dict would let a
         # pathological PDF with millions of objects balloon an
-        # extractor actor's heap.
+        # extraction worker's heap.
         self._cache: "OrderedDict" = OrderedDict()
         # object-stream containers read so far: number -> the index
         # from ``_index_object_stream``; outside the LRU above, so a

@@ -160,7 +160,7 @@ def decrypt_object_data(key: bytes, data: bytes, obj_id: tuple, algo: str = "rc4
 class StandardSecurityHandler:
     """Per-document decryption state (derive once, apply per object).
 
-    In the Ray pipeline this object lives inside the extractor actor's
+    In the Ray pipeline this object lives inside the extraction worker's
     per-document cache so the 50-round MD5 / SHA-256 derivation cost is
     paid once per document, not per string.
     """

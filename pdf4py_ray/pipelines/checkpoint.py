@@ -10,10 +10,12 @@ A bucket is *committed* iff its ``_MANIFEST.json`` exists and parses.
 The compaction task writes it last, after ``sorted.parquet`` has been
 moved into place and the bucket's fragments deleted (the commit record
 of Delta Lake's log, one per bucket). It records the bucket's rows,
-error rows, payload bytes, ``[lo, hi)`` split bounds and the lineage
-(pipeline version, split-point digest, the caller's input identity).
-A resumed write keeps the buckets committed under its own lineage,
-deletes every other bucket directory, and writes only the rest.
+error rows, payload bytes, ``[lo, hi)`` split bounds, the lineage
+(pipeline version, split-point digest, the caller's input identity)
+and the sorted list of buckets its write holds. A resumed write keeps
+the buckets committed under its own lineage, deletes every other
+bucket directory, and writes only the rest; when every listed bucket
+is committed, it writes nothing.
 
 All access goes through a ``pyarrow.fs`` filesystem and an in-filesystem
 path, so local paths and URIs (``file://``, ``s3://``, …) take the same

@@ -102,13 +102,17 @@ def extract(source: Source, out_dir: Optional[str] = None, resume: bool = True):
     same input committed are kept: their turns are dropped before
     extraction and the write leaves them alone. An output whose
     manifests record other split points raises ``ValueError``;
-    ``resume=False`` rewrites every bucket."""
+    ``resume=False`` rewrites every bucket. When every bucket that the
+    committed write holds is committed, the resume builds no pipeline
+    and returns their row count."""
     splits = source.split_points()
     if out_dir is None:
         return range_sorted(extraction_dataset(source), splits)
     lineage = source.lineage if resume else None
     if resume:
         done = _committed(*_resolve_fs(out_dir), _lineage(splits, lineage))
+        if done and all(m.get("buckets") == sorted(done) for m in done.values()):
+            return sum(m["rows"] for m in done.values())
         if done:
             source = source._replace(turns=source.turns.map_batches(
                 functools.partial(_drop_buckets, splits=np.array(splits),
@@ -241,7 +245,8 @@ def stable_sorted_write(ds, out_dir: str, split_points: list,
     reads its fragments (bucket ≈ corpus/B rows), sorts in memory with
     the same :func:`_sort_table`, writes a single ``sorted.parquet``,
     removes the fragments and commits the bucket with its manifest
-    (:mod:`.checkpoint`). Reading ``sort_bucket=0..B`` in order IS the
+    (:mod:`.checkpoint`), which also lists every bucket of this write,
+    the kept ones included. Reading ``sort_bucket=0..B`` in order IS the
     stable global (conv_id, turn_idx) order.
 
     Both stages scale linearly with nodes (storage-bandwidth bound,
@@ -264,11 +269,11 @@ def stable_sorted_write(ds, out_dir: str, split_points: list,
         out_path, filesystem=filesystem, partition_cols=["sort_bucket"]
     )
     bounds = [None, *split_points, None]
+    dirs = checkpoint.bucket_dirs(filesystem, out_path)
     counts = ray.get([
         _compact_bucket.remote(filesystem, d, {"sort_bucket": b, "bounds": bounds[b:b + 2],
-                                               "lineage": full})
-        for b, d in sorted(checkpoint.bucket_dirs(filesystem, out_path).items())
-        if b not in kept
+                                               "lineage": full, "buckets": sorted(dirs)})
+        for b, d in sorted(dirs.items()) if b not in kept
     ])
     return int(sum(counts)) + sum(m["rows"] for m in kept.values())
 
@@ -302,8 +307,8 @@ def _compact_bucket(filesystem, bucket_dir: str, manifest: dict) -> int:
     """One bucket of :func:`stable_sorted_write`: its fragments sorted
     into a single ``sorted.parquet`` (written to a temporary name, then
     moved), fragments deleted, and last the bucket's commit: ``manifest``
-    (its number, bounds and lineage) with the bucket's rows, error rows
-    and payload bytes. Returns the bucket's row count."""
+    (its number, bounds, lineage and the write's buckets) with the
+    bucket's rows, error rows and payload bytes. Returns the bucket's row count."""
     import pyarrow.parquet as pq
     from pyarrow import fs as pafs
 

@@ -1,1 +1,2 @@
-"""Ray Data batch transforms (map_batches callables and actor classes)."""
+"""Ray Data batch transforms (map_batches callables and the batch
+classes that ``functions.broadcast.task_stage`` runs as task stages)."""

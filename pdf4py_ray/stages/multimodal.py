@@ -2,11 +2,13 @@
 
 Media payloads are opaque Arrow ``binary`` cells with typed metadata —
 same pattern as the PDF cells: the blob is the intra-row unit of work,
-decode/feature stages are actor pools over small pyarrow batches.
+decode/feature stages are task stages over small pyarrow batches, with
+one stage instance per worker process
+(:func:`~..functions.broadcast.task_stage`).
 
 Decode modes: ``deterministic=True`` (default) produces a
 deterministic fake decode (header sniff + content hash + fake
-dimensions) so the Ray-side plumbing — schema, batch sizing, actor
+dimensions) so the Ray-side plumbing — schema, batch sizing, stage
 signature, output layout — is testable and value-gated identically in
 every container; ``deterministic=False`` is the REAL decode — Pillow
 when installed, else the built-in pure-python PNG codec
@@ -20,7 +22,13 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..functions.broadcast import task_stage
 from ..functions.hashing import stable_hash64
+
+# rows per batch of the media stages (blobs are wide rows)
+MEDIA_BATCH_SIZE = 16
+# frames sampled from each video payload
+NUM_FRAMES = 4
 
 _MAGIC = {
     b"\xff\xd8\xff": "jpeg",
@@ -159,19 +167,19 @@ def synth_media_table(num_rows: int = 64) -> pa.Table:
 
 
 class DecodeMedia:
-    """Actor stage: binary payload → decoded metadata (+ features).
+    """Task stage: binary payload → decoded metadata (+ features).
 
-    Two modes, selected once per actor in ``__init__``:
+    Two modes, selected once per instance in ``__init__``:
 
     - ``deterministic=True`` (default): a deterministic fake decode
       (header sniff + content hash + hash-derived dimensions) so the
-      Ray-side plumbing — schema, batch sizing, actor signature,
+      Ray-side plumbing — schema, batch sizing, stage signature,
       output layout — is real and testable in containers without
       codec libraries, and so the driver's value gate is stable
       whether or not Pillow happens to be installed.
     - ``deterministic=False``: REAL image decode — Pillow when
-      available, imported once at actor construction (the actor-pool
-      pattern: codec setup per actor, never per batch), else the
+      available, imported once at construction (codec setup once
+      per worker process, never per batch), else the
       built-in pure-python :func:`decode_png` for PNG payloads (real
       pixels from a real inflate+unfilter, same luminance-histogram
       features via Pillow's exact ``convert('L')`` integer
@@ -187,7 +195,7 @@ class DecodeMedia:
         self.feature_dim = feature_dim
         self._pil = None
         if not deterministic:
-            try:  # optional dependency: resolved once per actor
+            try:  # optional dependency: resolved once per instance
                 from PIL import Image
 
                 self._pil = Image
@@ -255,50 +263,39 @@ class DecodeMedia:
         return out
 
 
-class FrameSample:
-    """Actor stage for 'video' payloads: deterministic frame sampling —
-    splits the blob into ``num_frames`` chunks and emits one row per
-    sampled frame (the flat_map-shaped stage of a real video pipeline)."""
-
-    def __init__(self, num_frames: int = 4) -> None:
-        self.num_frames = num_frames
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = {"media_id": [], "frame_idx": [], "frame_hash": []}
-        for mid, payload in zip(batch["media_id"].to_pylist(), batch["payload"].to_pylist()):
-            payload = payload or b""
-            step = max(1, len(payload) // self.num_frames)
-            for fi in range(self.num_frames):
-                chunk = payload[fi * step : (fi + 1) * step]
-                rows["media_id"].append(mid)
-                rows["frame_idx"].append(fi)
-                rows["frame_hash"].append(stable_hash64(chunk) >> 1)
-        return pa.table(
-            {
-                "media_id": pa.array(rows["media_id"], type=pa.int64()),
-                "frame_idx": pa.array(rows["frame_idx"], type=pa.int32()),
-                "frame_hash": pa.array(rows["frame_hash"], type=pa.int64()),
-            }
-        )
+def frame_sample(batch: pa.Table) -> pa.Table:
+    """Deterministic frame sampling of 'video' payloads: splits each
+    blob into ``NUM_FRAMES`` chunks and emits one row per sampled frame
+    (the flat_map-shaped stage of a real video pipeline)."""
+    rows = {"media_id": [], "frame_idx": [], "frame_hash": []}
+    for mid, payload in zip(batch["media_id"].to_pylist(), batch["payload"].to_pylist()):
+        payload = payload or b""
+        step = max(1, len(payload) // NUM_FRAMES)
+        for fi in range(NUM_FRAMES):
+            chunk = payload[fi * step : (fi + 1) * step]
+            rows["media_id"].append(mid)
+            rows["frame_idx"].append(fi)
+            rows["frame_hash"].append(stable_hash64(chunk) >> 1)
+    return pa.table(
+        {
+            "media_id": pa.array(rows["media_id"], type=pa.int64()),
+            "frame_idx": pa.array(rows["frame_idx"], type=pa.int32()),
+            "frame_hash": pa.array(rows["frame_hash"], type=pa.int64()),
+        }
+    )
 
 
-def decode_media(ds, concurrency=(1, 4), batch_size: int = 16,
-                 deterministic: bool = True):
+def decode_media(ds, deterministic: bool = True):
     """Media decode pipeline stage (small batches: blobs are wide rows).
-    ``deterministic=False`` switches the actors to real Pillow decode
+    ``deterministic=False`` switches the stage to real Pillow decode
     (see :class:`DecodeMedia`)."""
     return ds.map_batches(
-        DecodeMedia,
-        fn_constructor_kwargs={"deterministic": deterministic},
-        batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency,
+        task_stage("decode_media", DecodeMedia, deterministic=deterministic),
+        batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE,
     )
 
 
-def sample_frames(ds, num_frames: int = 4, concurrency=(1, 4), batch_size: int = 16):
-    return ds.map_batches(
-        FrameSample,
-        fn_constructor_kwargs={"num_frames": num_frames},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
+def sample_frames(ds):
+    """``NUM_FRAMES`` frame rows per video payload (:func:`frame_sample`),
+    a stateless task stage."""
+    return ds.map_batches(frame_sample, batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE)

@@ -275,9 +275,9 @@ def hash_join(left, right, on: str, right_on: str,
     co-located with ONE single-int64-key ``groupby``, and merged
     per-bucket with a vectorized pandas merge. Column names of the two
     sides must be disjoint. This is the engine's large⨝large path —
-    the native ``Dataset.join`` (see :func:`orders_per_nation_native`)
-    carries multi-second fixed actor-pool overhead per partition in
-    Ray 2.49, while this shape pays only the one shuffle it needs.
+    Ray 2.49's native ``Dataset.join`` runs its hash shuffle on
+    aggregator actors with multi-second fixed overhead per partition,
+    while this shape pays only the one shuffle it needs.
 
     ``num_buckets`` defaults to :func:`_auto_buckets` over
     ``rows_hint`` (pass the known input cardinality — e.g. parquet
@@ -367,6 +367,10 @@ def hash_join(left, right, on: str, right_on: str,
 
         lhs = group.filter(_pc.equal(group["__side"], 0)).select(left_names).to_pandas()
         rhs = group.filter(_pc.equal(group["__side"], 1)).select(right_names).to_pandas()
+        if right_nullable:
+            # before the merge: pandas pads an unmatched probe row by
+            # turning an int64 column into float64, which rounds > 2^53
+            rhs = rhs.astype(right_nullable)
         if how in ("semi", "anti"):
             mask = lhs[on].isin(rhs[right_on].unique())
             merged = lhs[mask if how == "semi" else ~mask]
@@ -388,8 +392,6 @@ def hash_join(left, right, on: str, right_on: str,
                 )
             else:
                 merged = lhs.merge(rhs, left_on=on, right_on=right_on, how=how)
-            if right_nullable:
-                merged = merged.astype(right_nullable)
         # emit a TYPED Arrow table: a raw pandas return would let Ray
         # re-infer column types per block (e.g. ndarray cells become
         # tensor-extension arrays), breaking downstream schema unify
@@ -495,32 +497,6 @@ def orders_per_nation(sf_dir: str):
         .groupby("c_nationkey")
         .aggregate(Sum("n_orders", alias_name="n_orders"),
                    Sum("revenue_cents", alias_name="revenue_cents"))
-    )
-
-
-def orders_per_nation_native(sf_dir: str):
-    """Same query through the *native* ``Dataset.join`` — kept for API
-    coverage; see :func:`hash_join` for why it is not the default."""
-    from ray.data.aggregate import Count, Sum
-
-    orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-
-    def add_cents(batch: pa.Table) -> pa.Table:
-        return batch.append_column("price_cents", _cents(batch["o_totalprice"])).drop_columns(
-            ["o_totalprice"]
-        )
-
-    orders = orders.map_batches(add_cents, batch_format="pyarrow")
-    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-    joined = orders.join(
-        cust,
-        join_type="inner",
-        num_partitions=4,
-        on=("o_custkey",),
-        right_on=("c_custkey",),
-    )
-    return joined.groupby("c_nationkey").aggregate(
-        Count(alias_name="n_orders"), Sum("price_cents", alias_name="revenue_cents")
     )
 
 

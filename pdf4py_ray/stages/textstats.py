@@ -2,9 +2,10 @@
 
 Language-ID (stopword-profile heuristic), quality scoring, token
 counting (whitespace + a BPE-ish regex), and document fingerprinting
-(min rolling hash of word 5-grams). All are ``map_batches`` stages;
-the heavy pieces (compiled regexes, stopword tables) live in actor
-``__init__``.
+(min rolling hash of word 5-grams). All are ``map_batches`` task
+stages; the heavy pieces (compiled regexes, stopword tables, word-hash
+memos) live in a stage class built once per worker process
+(:func:`~..functions.broadcast.task_stage`).
 
 Every column here — including lang-ID (stopword argmax) and the
 fingerprint (Rabin-Karp mod 2⁶¹−1 over md5-lower-64 word hashes) — is
@@ -20,7 +21,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..functions.hashing import md5_lower64, stable_hash64
+from ..functions.broadcast import task_stage
+from ..functions.hashing import md5_lower64
 
 # minimal stopword profiles (public common-word lists)
 STOPWORDS = {
@@ -38,22 +40,39 @@ _WS_RE = re.compile(r"\s+")
 _PUNCT_RE = re.compile(r"[.,;:!?]")
 _WORD_RE = re.compile(r"[a-zà-ÿ]+")
 
+# rows per batch of the two task stages below
+TEXT_STATS_BATCH_SIZE = 1024
+HLL_BATCH_SIZE = 8192
+_HASH_CACHE_MAX = 1_000_000  # entries of a stage's hash memo (~32 MB); reset beyond
+
+
+def _memo_hashes(cache: dict, values, hash_fn) -> np.ndarray:
+    """``hash_fn(v)`` for each of ``values`` as uint64, through a stage
+    instance's ``cache`` (values repeat heavily across batches)."""
+    if len(cache) > _HASH_CACHE_MAX:
+        cache.clear()
+    out = np.empty(len(values), dtype=np.uint64)
+    for i, v in enumerate(values):
+        h = cache.get(v)
+        if h is None:
+            h = cache[v] = hash_fn(v)
+        out[i] = h
+    return out
+
 
 class TextStats:
-    """Actor-pool stage: append token/quality/lang/fingerprint columns.
+    """Task stage: append token/quality/lang/fingerprint columns.
 
     The per-row Python kernels of the first version (``Series.map``
     over word lists) are replaced by flat-array numpy: all words of a
     batch are concatenated, the vocabulary is deduplicated once
     (``np.unique``), md5 word hashes are computed per UNIQUE word with
-    a per-actor cache (words repeat heavily across batches), and the
+    a per-instance cache (words repeat heavily across batches), and the
     rolling-hash fingerprint / stopword ratios / language argmax run
     as vectorized segment reductions over the flat array
     (:func:`~..functions.hashing.rolling_min_fingerprint`). Values are
     bit-identical to the scalar reference kernels kept below for
     short-document fallback and tests."""
-
-    _HASH_CACHE_MAX = 1_000_000  # ~32 MB of dict; reset beyond
 
     def __init__(self, text_col: str = "text") -> None:
         self.text_col = text_col
@@ -103,22 +122,6 @@ class TextStats:
             if best is None or acc < best:
                 best = acc
         return best
-
-    def _word_hashes(self, uniq: np.ndarray) -> np.ndarray:
-        """md5-lower-64 (mod M) per unique word, through the actor
-        cache — the only irreducibly per-word Python work left."""
-        cache = self._hash_cache
-        if len(cache) > self._HASH_CACHE_MAX:
-            cache.clear()
-        M = self._FP_MOD
-        out = np.empty(len(uniq), dtype=np.uint64)
-        for i, w in enumerate(uniq):
-            h = cache.get(w)
-            if h is None:
-                h = md5_lower64(w) % M
-                cache[w] = h
-            out[i] = h
-        return out
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         from ..functions.hashing import rolling_min_fingerprint
@@ -174,9 +177,10 @@ class TextStats:
             scores[best, np.arange(nrows)] > 0.02, lang_arr[best], "und"
         )
 
-        hs_flat = self._word_hashes(uniq)[codes] if len(flat) else np.array(
-            [], dtype=np.uint64
-        )
+        # md5-lower-64 (mod M) per unique word: the only irreducibly
+        # per-word Python work left
+        M = self._FP_MOD
+        hs_flat = _memo_hashes(self._hash_cache, uniq, lambda w: md5_lower64(w) % M)[codes]
         fp = rolling_min_fingerprint(hs_flat, offsets, self._FP_BASE, k=5)
         fingerprints = np.where(fp == np.uint64(self._FP_MOD), 0, fp).astype("int64")
         short = np.flatnonzero((lens > 0) & (lens < 5))
@@ -186,14 +190,12 @@ class TextStats:
         return batch
 
 
-def text_stats(ds, text_col: str = "text", concurrency=(2, 8), batch_size: int = 1024):
+def text_stats(ds, text_col: str = "text"):
     """Attach the TextStats columns to a Dataset."""
     return ds.map_batches(
-        TextStats,
-        fn_constructor_kwargs={"text_col": text_col},
+        task_stage("text_stats", TextStats, text_col=text_col),
         batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=TEXT_STATS_BATCH_SIZE,
     )
 
 
@@ -495,7 +497,7 @@ def seq_pack(ds, id_col: str = "doc_id", text_col: str = "text",
 
 
 class HllPartial:
-    """Actor stage: per-batch HyperLogLog register partials for
+    """Task stage: per-batch HyperLogLog register partials for
     approximate distinct counting (the sketch pattern: tiny mergeable
     state instead of a distinct shuffle).
 
@@ -509,8 +511,6 @@ class HllPartial:
     B_BITS = 10
     REST_BITS = 54
 
-    _HASH_CACHE_MAX = 1_000_000
-
     def __init__(self, key_col: str, val_col: str) -> None:
         self.key_col = key_col
         self.val_col = val_col
@@ -521,16 +521,8 @@ class HllPartial:
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         vals = batch[self.val_col].to_numpy()
         uniq, codes = np.unique(vals, return_inverse=True)
-        cache = self._hash_cache
-        if len(cache) > self._HASH_CACHE_MAX:
-            cache.clear()
-        h_uniq = np.empty(len(uniq), dtype=np.uint64)
-        for i, v in enumerate(uniq):  # md5 once per UNIQUE value, cached
-            h = cache.get(v)
-            if h is None:
-                h = md5_lower64(str(v))
-                cache[v] = h
-            h_uniq[i] = h
+        # md5 once per UNIQUE value, cached
+        h_uniq = _memo_hashes(self._hash_cache, uniq, lambda v: md5_lower64(str(v)))
         rest = h_uniq & np.uint64((1 << self.REST_BITS) - 1)
         # vectorized bit_length: index of the first power of two > rest
         bitlen = np.searchsorted(self._pow2, rest, side="right")
@@ -549,17 +541,14 @@ class HllPartial:
         return out
 
 
-def hll_registers(ds, key_col: str = "event_type", val_col: str = "user_id",
-                  batch_size: int = 8192, concurrency=(2, 8)):
+def hll_registers(ds, key_col: str = "event_type", val_col: str = "user_id"):
     """Distinct-count sketch registers per key: per-batch partials
     (each batch emits at most 1024 register rows per key — the
     combiner), then one small groupby takes the elementwise max."""
     partials = ds.map_batches(
-        HllPartial,
-        fn_constructor_kwargs={"key_col": key_col, "val_col": val_col},
+        task_stage("hll_partial", HllPartial, key_col=key_col, val_col=val_col),
         batch_format="pandas",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=HLL_BATCH_SIZE,
     )
 
     # one Ray group per KEY (few), elementwise max vectorized inside —

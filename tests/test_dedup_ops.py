@@ -202,7 +202,7 @@ def test_textstats_columns(ray_session):
             {"doc_id": 2, "text": "der hund und die katze ist nicht mit der maus"},
         ]
     )
-    rows = {r["doc_id"]: r for r in text_stats(ds, concurrency=1).take_all()}
+    rows = {r["doc_id"]: r for r in text_stats(ds).take_all()}
     r0 = rows[0]
     assert r0["n_tokens"] == 8
     assert r0["n_chars"] == 32

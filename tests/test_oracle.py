@@ -55,7 +55,6 @@ SQL_CHECKED = [
     "q_pricing_summary",
     "q_revenue_by_segment",
     "q_orders_per_nation",
-    "q_orders_per_nation_native",
     "q_customers_per_region",
     "q_local_supplier_revenue",
     "q_parts_by_brand",

@@ -214,6 +214,26 @@ def test_resume_after_a_crash_equals_a_clean_run(ray_session, tmp_path, kind):
         assert stats(b) == before
 
 
+@pytest.mark.parametrize("kind", ["parquet", "pdf"])
+def test_resume_of_a_committed_output_runs_nothing(ray_session, tmp_path, kind, monkeypatch):
+    """Every manifest lists the buckets of its write; once all of them
+    are committed, a resumed ``extract`` returns the committed row count
+    without building a pipeline."""
+    from pdf4py_ray.pipelines import extract_pipeline as xp
+
+    make = source_of(kind, tmp_path)
+    out_dir = str(tmp_path / "out")
+    n = xp.extract(make(), out_dir)
+    before = _mtimes(out_dir)
+
+    def no_pipeline(source):
+        raise AssertionError("a committed output built a pipeline")
+
+    monkeypatch.setattr(xp, "extraction_dataset", no_pipeline)
+    assert xp.extract(make(), out_dir) == n
+    assert _mtimes(out_dir) == before
+
+
 def _change_listing(kind: str, tmp_path, change: str) -> None:
     """Rewrite one input file (same conv_ids, other text), or add one."""
     import glob

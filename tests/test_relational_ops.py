@@ -319,6 +319,23 @@ def test_hash_join_outer_semi_anti_modes(ray_session):
         assert anti == [10, 30, 50]
 
 
+def test_hash_join_left_keeps_int64_above_2_53(ray_session):
+    """An unmatched probe row in the same bucket as a matched one must
+    not turn the build side's int64 columns into float64: 2^53+1 came
+    back as 2^53."""
+    import ray.data as rd
+
+    from pdf4py_ray.stages.relational import hash_join
+
+    big = 2**53 + 1
+    left = pa.table({"k": pa.array([1, 2], pa.int64())})
+    right = pa.table({"rk": pa.array([1], pa.int64()), "rv": pa.array([big], pa.int64())})
+    out = hash_join(rd.from_arrow(left), rd.from_arrow(right), "k", "rk",
+                    left.schema, right.schema, num_buckets=1, salt=1, how="left")
+    rows = sorted(out.take_all(), key=lambda r: r["k"])
+    assert [(r["k"], r["rk"], r["rv"]) for r in rows] == [(1, 1, big), (2, None, None)]
+
+
 def test_hash_join_oversize_single_key_bucket(ray_session, monkeypatch):
     """Spill guard: a 5M-row SINGLE-KEY probe side (the worst skew —
     salting spreads it over at most 16 sub-buckets, so each merge task

@@ -1,5 +1,6 @@
-"""Task stages: the extraction and sketch stages run as plain Ray
-tasks with one stage instance per worker process per pipeline build."""
+"""Task stages: every stage runs as plain Ray tasks with one stage
+instance per worker process per pipeline build; none builds an actor
+pool."""
 
 import inspect
 import os
@@ -25,7 +26,8 @@ class _Stateful:
 def test_task_stage_one_instance_per_build(monkeypatch):
     from pdf4py_ray.functions import broadcast
 
-    monkeypatch.setattr(broadcast, "_instances", type(broadcast._instances)())
+    # a fresh per-process state for this test; the real one comes back after it
+    monkeypatch.delitem(sys.modules, broadcast._STATE_MODULE, raising=False)
     first = broadcast.task_stage("probe", _Stateful, tag="a")
     second = broadcast.task_stage("probe", _Stateful, tag="a")
     assert first.__name__ == "probe"
@@ -37,7 +39,7 @@ def test_task_stage_one_instance_per_build(monkeypatch):
     assert first(None) is a1 and second(None) is b
     for _ in range(broadcast._STAGE_SLOTS):
         broadcast.task_stage("probe", _Stateful)(None)
-    assert len(broadcast._instances) == broadcast._STAGE_SLOTS
+    assert len(broadcast.process_state().instances) == broadcast._STAGE_SLOTS
     assert first(None) is not a1  # evicted by newer builds, rebuilt
 
 
@@ -64,9 +66,10 @@ def _probe_tags() -> tuple:
 
 
 def test_task_stage_reuses_one_instance_per_worker(ray_session):
-    """Shipped by reference, each worker process builds the stage once
-    per build across many tasks. Shipped by value (as ``__ray_entry__``
-    registers the package), each task builds its own."""
+    """Each worker process builds the stage once per build across many
+    tasks, whether the package is shipped by reference or by value (as
+    ``__ray_entry__`` registers it): the per-process slots are looked
+    up through ``sys.modules``, which by-value pickling does not copy."""
     from ray import cloudpickle
 
     from pdf4py_ray.functions import broadcast
@@ -81,8 +84,9 @@ def test_task_stage_reuses_one_instance_per_worker(ray_session):
             pids, tags = _probe_tags()
             assert len(tags) == len(pids)
         cloudpickle.register_pickle_by_value(broadcast)
-        pids, tags = _probe_tags()
-        assert len(tags) == 16
+        for _ in range(2):
+            pids, tags = _probe_tags()
+            assert len(tags) == len(pids)
         cloudpickle.unregister_pickle_by_value(broadcast)
     finally:
         for module in registered:
@@ -142,6 +146,8 @@ def test_stages_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
     from pdf4py_ray.sources.pdf_files import pdf_source
     from pdf4py_ray.sources.transcripts import synth_transcripts
     from pdf4py_ray.stages import dedup
+    from pdf4py_ray.stages.multimodal import decode_media, sample_frames, synth_media_table
+    from pdf4py_ray.stages.textstats import hll_registers, text_stats
 
     for fn in (synth_source, parquet_source, pdf_source, dedup.minhash_dup_pairs):
         assert inspect.signature(fn).parameters["concurrency"].default is None
@@ -167,6 +173,19 @@ def test_stages_run_no_actor_pool(ray_session, monkeypatch, tmp_path):
     assert dedup.minhash_dup_pairs(docs).take_all()[0]["id_a"] == 1
     assert built == [dedup.MinHashSignatures]
 
+    # the text-statistics, HLL and media wrappers take no concurrency
+    events = rd.from_arrow(pa.table({"event_type": ["a", "a", "b"], "user_id": [1, 2, 1]}))
+    media = rd.from_arrow(synth_media_table(6))
+    for wrapper, ds, op, rows in [(text_stats, docs, "MapBatches(text_stats)", 2),
+                                  (hll_registers, events, "MapBatches(hll_partial)", None),
+                                  (decode_media, media, "MapBatches(decode_media)", 6),
+                                  (sample_frames, media, "MapBatches(frame_sample)", 24)]:
+        assert "concurrency" not in inspect.signature(wrapper).parameters
+        out = wrapper(ds)
+        assert (op, False) in _map_ops(out)
+        assert not [o for o in _map_ops(out) if o[1]]
+        assert rows is None or len(out.take_all()) == rows
+
 
 _STALL_SCRIPT = textwrap.dedent("""
     import sys
@@ -176,8 +195,9 @@ _STALL_SCRIPT = textwrap.dedent("""
     import ray.data as rd
 
     from pdf4py_ray.pipelines.extract_pipeline import extraction_from_parquet
-    from pdf4py_ray.sources.transcripts import synth_transcripts
+    from pdf4py_ray.sources.transcripts import read_table, synth_transcripts
     from pdf4py_ray.stages.dedup import minhash_dup_pairs
+    from pdf4py_ray.stages.textstats import hll_registers, text_stats
 
     turns = synth_transcripts({sf!r}, ray_data=False)
     pq.write_table(turns, {out!r} + "/turns.parquet")
@@ -188,16 +208,19 @@ _STALL_SCRIPT = textwrap.dedent("""
         assert len(rows) == turns.num_rows, len(rows)
     docs = rd.read_parquet({sf!r} + "/documents.parquet", columns=["doc_id", "text"])
     minhash_dup_pairs(docs).take_all()
+    assert len(text_stats(read_table({sf!r}, "documents", ["doc_id", "text"])).take_all())
+    assert len(hll_registers(read_table({sf!r}, "events", ["event_type", "user_id"])).take_all())
     ray.shutdown()
     print("DONE")
 """)
 
 
 def test_back_to_back_executions_do_not_stall_at_two_cpus(tmp_path):
-    """Two extraction executions in a row, then the sketch stage at its
-    default concurrency, on 2 logical CPUs and with no ``gc.collect()``
-    between them: an idle actor pool held a CPU until GC and stalled
-    the next execution, and a (2, 8) sketch pool never started."""
+    """Two extraction executions in a row, then the sketch, text-stats
+    and HLL stages at their defaults, on 2 logical CPUs and with no
+    ``gc.collect()`` between them: an idle actor pool held a CPU until
+    GC and stalled the next execution, and a (2, 8) pool never
+    started."""
     script = _STALL_SCRIPT.format(repo=REPO, sf=SF_DIR, out=str(tmp_path))
     proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True, start_new_session=True)
@@ -206,7 +229,7 @@ def test_back_to_back_executions_do_not_stall_at_two_cpus(tmp_path):
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, 9)
         proc.communicate()
-        pytest.fail("extraction or sketching stalled past 120 s at 2 CPUs")
+        pytest.fail("extraction, sketching, text stats or HLL stalled past 120 s at 2 CPUs")
     assert proc.returncode == 0 and "DONE" in out, out[-3000:]
 
 
@@ -226,7 +249,7 @@ def test_cached_get_memoizes_none(monkeypatch):
         return None
 
     monkeypatch.setattr(ray, "get", fake_get)
-    monkeypatch.setattr(broadcast, "_cache", type(broadcast._cache)())
+    monkeypatch.delitem(sys.modules, broadcast._STATE_MODULE, raising=False)
     ref = Ref()
     assert broadcast.cached_get(ref) is None
     assert broadcast.cached_get(ref) is None
