@@ -247,7 +247,7 @@ def _ngram_jaccard(sf_dir: str):
 
     return ngram_jaccard_pairs(
         read_table(sf_dir, "documents", ["doc_id", "text"]),
-        n=5, threshold=0.5, id_limit=256,
+        threshold=0.5, id_limit=256,
         rows_hint=min(256, _table_rows(sf_dir, "documents")),
     )
 
@@ -353,7 +353,7 @@ def _knn_brute(sf_dir: str):
     from pdf4py_ray.stages.similarity import knn_brute
 
     ds = knn_brute(read_table(sf_dir, "embeddings", ["vec_id", "embedding"]),
-                   k=5, num_queries=8)
+                   num_queries=8)
     return ds.select_columns(["query_id", "neighbor_id"])
 
 
@@ -362,7 +362,7 @@ def _knn_ivf(sf_dir: str):
     from pdf4py_ray.stages.similarity import knn_ivf
 
     ds = knn_ivf(read_table(sf_dir, "embeddings", ["vec_id", "embedding"]),
-                 k=5, num_queries=8)
+                 num_queries=8)
     return ds.select_columns(["query_id", "neighbor_id"])
 
 
@@ -371,7 +371,7 @@ def _knn_lsh(sf_dir: str):
     from pdf4py_ray.stages.similarity import knn_lsh
 
     ds = knn_lsh(read_table(sf_dir, "embeddings", ["vec_id", "embedding"]),
-                 k=5, num_queries=8)
+                 num_queries=8)
     return ds.select_columns(["query_id", "neighbor_id"])
 
 
@@ -382,7 +382,7 @@ def _knn_join(sf_dir: str):
     from pdf4py_ray.stages.similarity import knn_join
 
     ds = knn_join(read_table(sf_dir, "embeddings", ["vec_id", "embedding"]),
-                  k=5, n_clusters=16, nprobe=4)
+                  n_clusters=16, nprobe=4)
     return ds.select_columns(["query_id", "neighbor_id"])
 
 

@@ -131,8 +131,8 @@ def _materialize_dedup_corpus(repeat: int) -> str:
     the clique size (measured: 176M intermediate pair rows at
     repeat=64, saturating the single-node object store and measuring
     store bandwidth instead of scaling). The clusters shape forces the
-    distributed min-label propagation (``pair_limit=0``) — the 100 TB
-    path."""
+    distributed min-label propagation (``dedup._PAIR_LIMIT = 0``) — the
+    100 TB path."""
     import json
 
     import pyarrow as pa
@@ -181,15 +181,18 @@ def bench_dedup_child(shape: str, corpus_dir: str) -> None:
     import ray.data as rd
 
     from pdf4py_ray.config import apply_engine_defaults
+    from pdf4py_ray.stages import dedup as _dedup
     from pdf4py_ray.stages.dedup import dedup_clusters, minhash_dup_pairs
 
     apply_engine_defaults()  # raw read_parquet below bypasses read_table
 
     if os.environ.get("BENCH_DEDUP_FORCE_JOIN"):
         # exercise the >2M-doc keyed-join verify fallback at bench size
-        from pdf4py_ray.stages import dedup as _dedup
-
         _dedup._SIG_BROADCAST_DOCS = 0
+    if shape == "clusters":
+        # forces the distributed min-label propagation — the 100 TB
+        # path — regardless of measured pair count
+        _dedup._PAIR_LIMIT = 0
 
     n_docs = sum(pq.read_metadata(f).num_rows
                  for f in sorted(glob.glob(corpus_dir + "/*.parquet")))
@@ -214,12 +217,7 @@ def bench_dedup_child(shape: str, corpus_dir: str) -> None:
         # throughput at this size (measured 30 s → 15 s at 32 CPUs)
         pairs = minhash_dup_pairs(docs, rows_hint=n_docs, concurrency=pool,
                                   batch_size=1024)
-        if shape == "clusters":
-            # pair_limit=0 forces the distributed min-label propagation
-            # — the 100 TB path — regardless of measured pair count
-            res = dedup_clusters(docs, pairs, pair_limit=0)
-        else:
-            res = pairs
+        res = dedup_clusters(docs, pairs) if shape == "clusters" else pairs
         n_rows = res.count()
     dt = time.perf_counter() - t0
     ray.shutdown()

@@ -17,6 +17,7 @@ except ImportError:  # pragma: no cover - interpreters built without it
     _md5 = md5
 
 _MERSENNE_61 = (1 << 61) - 1
+_FIB64 = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
 
 
 def stable_hash64(data) -> int:
@@ -24,6 +25,16 @@ def stable_hash64(data) -> int:
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
+
+
+def bucket_of(keys, num_buckets: int) -> np.ndarray:
+    """int64 bucket in ``[0, num_buckets)`` of each integer key: the
+    Fibonacci multiply ``key · 0x9E3779B97F4A7C15 mod 2^64`` (keys as
+    uint64, wrapping), then ``mod num_buckets``. Every keyed shuffle
+    (joins, per-user windows, component labels) co-locates with it."""
+    with np.errstate(over="ignore"):
+        return ((np.asarray(keys).astype(np.uint64) * _FIB64)
+                % np.uint64(num_buckets)).astype(np.int64)
 
 
 def md5_lower64(s) -> int:
@@ -160,14 +171,17 @@ def mulmod61(a: np.ndarray, b) -> np.ndarray:
     return np.where(total >= _M61, total - _M61, total)
 
 
+_FP_WORDS = 5  # words per fingerprint window
+
+
 def rolling_min_fingerprint(hs_flat: np.ndarray, offsets: np.ndarray,
-                            base: int, k: int = 5) -> np.ndarray:
+                            base: int) -> np.ndarray:
     """Per-document min rolling polynomial hash, fully vectorized over
     a CONCATENATED word-hash array.
 
     ``hs_flat`` holds every document's word hashes (mod 2^61-1) back to
     back; ``offsets`` (len = n_docs+1) delimits documents. For each
-    document with ≥ ``k`` words the result is
+    document with ≥ ``k`` = 5 words the result is
     ``min_i sum_j hs[i+j]·base^(k-1-j) mod M`` — identical to the
     scalar loop in :class:`~..stages.textstats.TextStats` and to the
     DuckDB HUGEINT oracle. Documents with < ``k`` words get the
@@ -175,7 +189,7 @@ def rolling_min_fingerprint(hs_flat: np.ndarray, offsets: np.ndarray,
     document boundaries are masked out. One pass of ``k`` shifted
     :func:`mulmod61` multiplies + one ``minimum.reduceat`` — no Python
     per-row loop."""
-    M = _MERSENNE_61
+    M, k = _MERSENNE_61, _FP_WORDS
     n = len(hs_flat)
     n_docs = len(offsets) - 1
     out = np.full(n_docs, M, dtype=np.uint64)
@@ -199,9 +213,10 @@ def rolling_min_fingerprint(hs_flat: np.ndarray, offsets: np.ndarray,
     return out
 
 
-def minhash_params(num_perm: int, seed: int = 42):
-    """(a, b) coefficient vectors for the multiply-add hash family."""
-    rng = np.random.RandomState(seed)
+def minhash_params(num_perm: int):
+    """(a, b) coefficient vectors for the multiply-add hash family
+    (seed 42)."""
+    rng = np.random.RandomState(42)
     a = rng.randint(1, 1 << 62, size=num_perm, dtype=np.uint64) | np.uint64(1)  # odd
     b = rng.randint(0, 1 << 62, size=num_perm, dtype=np.uint64)
     return a, b

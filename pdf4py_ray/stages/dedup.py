@@ -26,6 +26,7 @@ import pyarrow as pa
 from ..functions.broadcast import sorted_lookup, task_stage
 from ..functions.hashing import (
     band_hash_matrix,
+    bucket_of,
     md5_lower64,
     md5_lower64_array,
     minhash_params,
@@ -36,14 +37,14 @@ from ..functions.hashing import (
 # ---------------------------------------------------------------- exact
 
 
-def add_content_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """63-bit content hash; equal hashes are treated as exact
+def add_content_hash(batch: pa.Table) -> pa.Table:
+    """63-bit content hash of ``text``; equal hashes are treated as exact
     duplicates (collision odds ~n²/2⁶⁴ — negligible below ~10⁹ docs;
     above that, widen the hash). NULL text maps to the sentinel -1:
     real hashes are ``>> 1`` (non-negative), so a NULL row can never
     collapse into the empty-string group — matching SQL ``GROUP BY``,
     which keeps NULL as its own group distinct from ``''``."""
-    vals = batch[text_col].to_pylist()
+    vals = batch["text"].to_pylist()
     hashes = np.fromiter(
         (-1 if v is None else stable_hash64(v) >> 1 for v in vals),
         dtype=np.int64, count=len(vals),
@@ -51,25 +52,21 @@ def add_content_hash(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return batch.append_column("content_hash", pa.array(hashes, type=pa.int64()))
 
 
-def exact_dedup_representatives(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """One representative (min id) per distinct text → hash-partitioned
-    groupby over 8-byte hashes, not raw strings."""
+def exact_dedup_representatives(ds):
+    """One representative (min ``doc_id``) per distinct ``text`` →
+    hash-partitioned groupby over 8-byte hashes, not raw strings."""
     from ray.data.aggregate import Min
 
-    hashed = ds.map_batches(
-        lambda b: add_content_hash(b, text_col), batch_format="pyarrow"
-    )
-    reps = hashed.groupby("content_hash").aggregate(Min(id_col, alias_name=id_col))
-    return reps.select_columns([id_col])
+    hashed = ds.map_batches(add_content_hash, batch_format="pyarrow")
+    reps = hashed.groupby("content_hash").aggregate(Min("doc_id", alias_name="doc_id"))
+    return reps.select_columns(["doc_id"])
 
 
-def exact_dup_groups(ds, text_col: str = "text", id_col: str = "doc_id"):
+def exact_dup_groups(ds):
     """(content_hash, n_copies) for texts appearing more than once."""
     from ray.data.aggregate import Count
 
-    hashed = ds.map_batches(
-        lambda b: add_content_hash(b, text_col), batch_format="pyarrow"
-    )
+    hashed = ds.map_batches(add_content_hash, batch_format="pyarrow")
     counts = hashed.groupby("content_hash").aggregate(Count(alias_name="n_copies"))
     return counts.filter(expr="n_copies > 1")
 
@@ -266,7 +263,7 @@ def _driver_verify(id_a, id_b, row_a, row_b, sigs: np.ndarray,
         pairs, sigs[:0], sigs[:0], threshold)
 
 
-def _gather_sketches(sketches, id_col: str, limit: int):
+def _gather_sketches(sketches, limit: int):
     """``(ids, (n, NUM_PERM) signatures, (n, NUM_BANDS) band hashes)``
     streamed to the driver block by block as the sketch stage produces
     them — or ``None`` as soon as more than ``limit`` rows have
@@ -280,7 +277,7 @@ def _gather_sketches(sketches, id_col: str, limit: int):
             if n > limit:
                 return None
             if len(t):
-                ids.append(t[id_col].to_numpy(zero_copy_only=False).astype(np.int64))
+                ids.append(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64))
                 sigs.append(_list_matrix(t["signature"], NUM_PERM))
                 bands.append(_list_matrix(t["band_hashes"], NUM_BANDS))
     return (np.concatenate(ids or [np.empty(0, dtype=np.int64)]),
@@ -288,8 +285,8 @@ def _gather_sketches(sketches, id_col: str, limit: int):
             np.vstack(bands or [np.empty((0, NUM_BANDS), dtype=np.int64)]))
 
 
-def _shuffle_lsh(band_rows, id_col: str, n_docs: int):
-    """Distributed LSH over ``(id_col, band_key)`` rows: a coarse
+def _shuffle_lsh(band_rows, n_docs: int):
+    """Distributed LSH over ``(doc_id, band_key)`` rows: a coarse
     bucket exchange co-locates equal keys, a pandas self-merge per
     bucket emits (id_a < id_b) pairs, and a second exchange on the pair
     drops the pairs found in several bands. Returns
@@ -306,10 +303,10 @@ def _shuffle_lsh(band_rows, id_col: str, n_docs: int):
 
     def bucket_pairs(coarse: pd.DataFrame) -> pd.DataFrame:
         # vectorized per-coarse-group: self-merge each fine LSH bucket
-        df = coarse[["band_key", id_col]].drop_duplicates()
+        df = coarse[["band_key", "doc_id"]].drop_duplicates()
         m = df.merge(df, on="band_key", suffixes=("_a", "_b"))
-        m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
-        out = m[[f"{id_col}_a", f"{id_col}_b"]].drop_duplicates()
+        m = m[m["doc_id_a"] < m["doc_id_b"]]
+        out = m[["doc_id_a", "doc_id_b"]].drop_duplicates()
         out.columns = ["id_a", "id_b"]
         return out
 
@@ -363,7 +360,7 @@ def _broadcast_verify(candidates, ids: np.ndarray, sigs: np.ndarray, threshold: 
     return candidates.map_batches(verify, batch_format="pyarrow")
 
 
-def _joined_pairs(sketches, id_col: str, threshold: float, n_docs: int):
+def _joined_pairs(sketches, threshold: float, n_docs: int):
     """Above ``_SIG_BROADCAST_DOCS`` (the 10^12-doc regime, where no
     node can hold the matrix): shuffle LSH over the exploded band rows,
     then pairs pick up their signatures through two keyed bucket-shuffle
@@ -373,15 +370,15 @@ def _joined_pairs(sketches, id_col: str, threshold: float, n_docs: int):
     from .relational import hash_join
 
     def explode_bands(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         keys = _band_keys(_list_matrix(batch["band_hashes"], NUM_BANDS))
         return pa.table({
-            id_col: pa.array(np.repeat(ids, NUM_BANDS), type=pa.int64()),
+            "doc_id": pa.array(np.repeat(ids, NUM_BANDS), type=pa.int64()),
             "band_key": pa.array(keys.ravel(), type=pa.int64()),
         })
 
     candidates = _shuffle_lsh(sketches.map_batches(explode_bands, batch_format="pyarrow"),
-                              id_col, n_docs)
+                              n_docs)
     sig_type = pa.list_(pa.int64())
     cand_schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                              ("pair_bucket", pa.int64())])
@@ -398,7 +395,7 @@ def _joined_pairs(sketches, id_col: str, threshold: float, n_docs: int):
     def sig_side(suffix: str):
         def rename(batch: pa.Table) -> pa.Table:
             return pa.table({
-                f"sid_{suffix}": batch[id_col],
+                f"sid_{suffix}": batch["doc_id"],
                 f"sig_{suffix}": batch["signature"],
             })
         schema = pa.schema([(f"sid_{suffix}", pa.int64()), (f"sig_{suffix}", sig_type)])
@@ -420,10 +417,10 @@ def _joined_pairs(sketches, id_col: str, threshold: float, n_docs: int):
     return j2.map_batches(estimate, batch_format="pyarrow")
 
 
-def minhash_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
-                      threshold: float = 0.8, concurrency: int | None = None,
+def minhash_dup_pairs(ds, text_col: str = "text", threshold: float = 0.8,
+                      concurrency: int | None = None,
                       rows_hint: int | None = None, batch_size: int = 256):
-    """Near-duplicate pairs via MinHash-LSH.
+    """Near-duplicate pairs via MinHash-LSH over ``(doc_id, text_col)``.
 
     The sketch stage (:class:`MinHashSignatures`, a task stage) writes
     one row per doc: a 64-int64 signature and 16 band hashes. What
@@ -459,8 +456,7 @@ def minhash_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     import ray.data as rd
 
     sketches = ds.map_batches(
-        task_stage("minhash_signatures", MinHashSignatures,
-                   text_col=text_col, id_col=id_col),
+        task_stage("minhash_signatures", MinHashSignatures, text_col=text_col),
         batch_format="pyarrow",
         concurrency=concurrency,
         batch_size=batch_size,
@@ -469,11 +465,11 @@ def minhash_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     if n_docs is None:
         sketches = sketches.materialize()
         n_docs = sketches.count()
-    held = (_gather_sketches(sketches, id_col, _SIG_BROADCAST_DOCS)
+    held = (_gather_sketches(sketches, _SIG_BROADCAST_DOCS)
             if n_docs <= _SIG_BROADCAST_DOCS else None)
     if held is None:
         sketches = sketches.materialize()  # read by the band and both signature branches
-        return _joined_pairs(sketches, id_col, threshold, sketches.count())
+        return _joined_pairs(sketches, threshold, sketches.count())
 
     ids, sigs, bands = held
     keys = _band_keys(bands)
@@ -482,22 +478,22 @@ def minhash_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         return rd.from_arrow(_driver_verify(*found, sigs, threshold))
     from .relational import _shuffle_parts
 
-    band_rows = pa.table({id_col: pa.array(np.repeat(ids, NUM_BANDS), type=pa.int64()),
+    band_rows = pa.table({"doc_id": pa.array(np.repeat(ids, NUM_BANDS), type=pa.int64()),
                           "band_key": pa.array(keys.ravel(), type=pa.int64())})
     step = -(-len(band_rows) // _shuffle_parts(COARSE_BUCKETS, len(band_rows)))
     blocks = rd.from_arrow([band_rows.slice(i, step) for i in range(0, len(band_rows), step)])
-    return _broadcast_verify(_shuffle_lsh(blocks, id_col, len(ids)), ids, sigs, threshold)
+    return _broadcast_verify(_shuffle_lsh(blocks, len(ids)), ids, sigs, threshold)
 
 
 # ---------------------------------------------------------------- simhash
 
 
 class SimHash64:
-    """Batch stage: append a 64-bit SimHash fingerprint column. Runs as
-    a task stage (:func:`~..functions.broadcast.task_stage`)."""
+    """Batch stage: append a 64-bit SimHash fingerprint column of
+    ``text``. Runs as a task stage
+    (:func:`~..functions.broadcast.task_stage`)."""
 
-    def __init__(self, text_col: str = "text") -> None:
-        self.text_col = text_col
+    def __init__(self) -> None:
         self.bit_cols = np.arange(64, dtype=np.uint64)
 
     def simhash(self, text: str) -> int:
@@ -513,28 +509,26 @@ class SimHash64:
         return int(fp >> np.uint64(1))  # keep int64-positive
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        fps = [self.simhash(t) for t in batch[self.text_col].to_pylist()]
+        fps = [self.simhash(t) for t in batch["text"].to_pylist()]
         return batch.append_column("simhash", pa.array(fps, type=pa.int64()))
 
 
-def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
-                       max_hamming: int = 3, concurrency: int | None = None,
-                       rows_hint: int | None = None):
-    """Near-dup candidates with Hamming distance ≤ ``max_hamming``:
-    band the 63 usable bits into 4 blocks (pigeonhole: any pair within
-    distance 3 agrees on ≥1 block), groupby block value, verify
-    distance inside the bucket. ``rows_hint`` (known corpus rows) sizes
-    the two pre-groupby exchanges. ``concurrency`` caps the
-    fingerprint tasks running at once (``None``: no cap)."""
-    fps = ds.select_columns([id_col, text_col]).map_batches(
-        task_stage("simhash64", SimHash64, text_col=text_col),
-        batch_format="pyarrow", concurrency=concurrency, batch_size=512,
-    ).select_columns([id_col, "simhash"])
+def simhash_candidates(ds, max_hamming: int = 3, rows_hint: int | None = None):
+    """Near-dup ``(doc_id, text)`` candidates with Hamming distance ≤
+    ``max_hamming``: band the 63 usable bits into 4 blocks (pigeonhole:
+    any pair within distance 3 agrees on ≥1 block), groupby block
+    value, verify distance inside the bucket. ``rows_hint`` (known
+    corpus rows) sizes the two pre-groupby exchanges. The fingerprint
+    tasks run uncapped."""
+    fps = ds.select_columns(["doc_id", "text"]).map_batches(
+        task_stage("simhash64", SimHash64),
+        batch_format="pyarrow", batch_size=512,
+    ).select_columns(["doc_id", "simhash"])
 
     def explode_blocks(batch: pa.Table) -> pa.Table:
         # flat-buffer numpy replication (the explode_bands pattern) —
         # no per-row Python
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         fp = batch["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
         n = len(ids)
         blk = np.tile(np.arange(4, dtype=np.uint64), n)
@@ -543,7 +537,7 @@ def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
         return pa.table({
             "block": pa.array(blk.astype(np.int64), type=pa.int64()),
             "block_val": pa.array(bval.astype(np.int64), type=pa.int64()),
-            id_col: pa.array(np.repeat(ids, 4), type=pa.int64()),
+            "doc_id": pa.array(np.repeat(ids, 4), type=pa.int64()),
             "simhash": pa.array(fp_rep.astype(np.int64), type=pa.int64()),
         })
 
@@ -562,8 +556,8 @@ def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
         for _, group in coarse.groupby(["block", "block_val"], sort=False):
             if len(group) < 2:
                 continue
-            group = group.sort_values(id_col).drop_duplicates(id_col)
-            ids = group[id_col].to_numpy(dtype=np.int64)
+            group = group.sort_values("doc_id").drop_duplicates("doc_id")
+            ids = group["doc_id"].to_numpy(dtype=np.int64)
             fps_arr = group["simhash"].to_numpy().astype(np.uint64)
             for i in range(len(ids) - 1):
                 # vectorized XOR + SWAR popcount over the tail — no
@@ -614,18 +608,18 @@ def simhash_candidates(ds, text_col: str = "text", id_col: str = "doc_id",
 # ---------------------------------------------------------------- n-gram jaccard
 
 
-def char_grams(s: str, n: int = 5) -> set:
-    """Distinct character n-grams; a short string yields its single
+def char_grams(s: str) -> set:
+    """Distinct character 5-grams; a short string yields its single
     prefix gram (matches the SQL oracle's substring semantics)."""
-    return {s[i : i + n] for i in range(max(1, len(s) - n + 1))}
+    return {s[i : i + 5] for i in range(max(1, len(s) - 4))}
 
 
-def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
-                        n: int = 5, threshold: float = 0.5,
+def ngram_jaccard_pairs(ds, threshold: float = 0.5,
                         id_limit: int | None = None,
                         max_gram_df: int | None = None,
                         rows_hint: int | None = None):
-    """Exact char-n-gram Jaccard pairs via a distributed inverted index.
+    """Exact char-5-gram Jaccard pairs of ``(doc_id, text)`` rows via a
+    distributed inverted index.
 
     Scale path (no quadratic all-pairs pass over text): per-doc
     *distinct* gram hashes are exploded to (gram, doc_id, n_grams)
@@ -655,28 +649,28 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     Returns (id_a, id_b, jaccard) with id_a < id_b, jaccard ≥ threshold.
     """
     if id_limit is not None:
-        ds = ds.filter(expr=f"{id_col} < {id_limit}")
+        ds = ds.filter(expr=f"doc_id < {id_limit}")
 
     def explode_grams(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_pylist()
-        texts = batch[text_col].to_pylist()
+        ids = batch["doc_id"].to_pylist()
+        texts = batch["text"].to_pylist()
         out_gram, out_id, out_n = [], [], []
         for doc_id, text in zip(ids, texts):
-            grams = char_grams(text or "", n)
+            grams = char_grams(text or "")
             for g in grams:
                 out_gram.append(stable_hash64(g) >> 1)
                 out_id.append(doc_id)
                 out_n.append(len(grams))
         return pa.table({
             "gram": pa.array(out_gram, type=pa.int64()),
-            id_col: pa.array(out_id, type=pa.int64()),
+            "doc_id": pa.array(out_id, type=pa.int64()),
             "n_grams": pa.array(out_n, type=pa.int64()),
         })
 
     def gram_pairs(coarse: pd.DataFrame) -> pd.DataFrame:
         # vectorized inverted-index pair counting: a self-merge on gram
         # (C-speed) instead of a Python loop over gram groups
-        df = coarse[["gram", id_col, "n_grams"]].drop_duplicates(["gram", id_col])
+        df = coarse[["gram", "doc_id", "n_grams"]].drop_duplicates(["gram", "doc_id"])
         if max_gram_df is None and len(df):
             # guard disabled: still DIAGNOSE a would-be-quadratic gram
             # (df k emits k² pair rows) so a silent blowup has a log line
@@ -701,7 +695,7 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                 )
                 df = df[~hot]
         m = df.merge(df, on="gram", suffixes=("_a", "_b"))
-        m = m[m[f"{id_col}_a"] < m[f"{id_col}_b"]]
+        m = m[m["doc_id_a"] < m["doc_id_b"]]
         if not len(m):
             return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
                                  "id_b": pd.Series(dtype="int64"),
@@ -709,7 +703,7 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                                  "n_a": pd.Series(dtype="int64"),
                                  "n_b": pd.Series(dtype="int64")})
         out = (
-            m.groupby([f"{id_col}_a", f"{id_col}_b"], sort=False)
+            m.groupby(["doc_id_a", "doc_id_b"], sort=False)
             .agg(intersection=("gram", "size"),
                  n_a=("n_grams_a", "first"), n_b=("n_grams_b", "first"))
             .reset_index()
@@ -755,8 +749,7 @@ def ngram_jaccard_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     )
 
 
-def _ngram_verify_joined(ds, pairs_ds, text_col: str, id_col: str, n: int,
-                         n_pairs: int):
+def _ngram_verify_joined(ds, pairs_ds, n_pairs: int):
     """Above-the-guard verify path: candidate texts attach through two
     keyed bucket-shuffle joins (no driver collect of pairs or texts);
     the exact per-pair Jaccard runs vectorized over the joined rows.
@@ -770,14 +763,14 @@ def _ngram_verify_joined(ds, pairs_ds, text_col: str, id_col: str, n: int,
     def side(suffix: str):
         def rename(batch: pa.Table) -> pa.Table:
             return pa.table({
-                f"tid_{suffix}": batch[id_col],
-                f"text_{suffix}": batch[text_col],
+                f"tid_{suffix}": batch["doc_id"],
+                f"text_{suffix}": batch["text"],
             })
 
         schema = pa.schema([(f"tid_{suffix}", pa.int64()),
                             (f"text_{suffix}", text_type)])
         return (
-            ds.select_columns([id_col, text_col]).map_batches(
+            ds.select_columns(["doc_id", "text"]).map_batches(
                 rename, batch_format="pyarrow"
             ),
             schema,
@@ -798,8 +791,8 @@ def _ngram_verify_joined(ds, pairs_ds, text_col: str, id_col: str, n: int,
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
         jac = []
         for ta, tb in zip(batch["text_a"], batch["text_b"]):
-            ga = char_grams(ta if isinstance(ta, str) else "", n)
-            gb = char_grams(tb if isinstance(tb, str) else "", n)
+            ga = char_grams(ta if isinstance(ta, str) else "")
+            gb = char_grams(tb if isinstance(tb, str) else "")
             union = len(ga | gb)
             jac.append(len(ga & gb) / union if union else 0.0)
         out = batch[["id_a", "id_b"]].copy()
@@ -809,12 +802,17 @@ def _ngram_verify_joined(ds, pairs_ds, text_col: str, id_col: str, n: int,
     return j2.map_batches(verify, batch_format="pandas")
 
 
-def ngram_jaccard_verify(ds, pairs_ds, text_col: str = "text", id_col: str = "doc_id",
-                         n: int = 5, candidate_limit: int = 500_000):
-    """Exact char-n-gram Jaccard for candidate pairs.
+# Candidate pairs up to which ngram_jaccard_verify collects the involved
+# texts to the driver; above it, texts attach through keyed joins
+_CANDIDATE_LIMIT = 500_000
+
+
+def ngram_jaccard_verify(ds, pairs_ds):
+    """Exact char-5-gram Jaccard for candidate pairs of ``(doc_id,
+    text)`` rows.
 
     The candidate set is normally small by construction (LSH output),
-    so under ``candidate_limit`` the candidate *ids* are broadcast once
+    so up to ``_CANDIDATE_LIMIT`` pairs the candidate *ids* are broadcast once
     (``ray.put``), a distributed semi-join filters the corpus down to
     just the involved documents (never a driver-side corpus scan), and
     only those few texts are collected and re-broadcast for the
@@ -827,8 +825,8 @@ def ngram_jaccard_verify(ds, pairs_ds, text_col: str = "text", id_col: str = "do
 
     pairs_ds = pairs_ds.materialize()  # consumed twice (count + verify)
     n_pairs = pairs_ds.count()
-    if n_pairs > candidate_limit:
-        return _ngram_verify_joined(ds, pairs_ds, text_col, id_col, n, n_pairs)
+    if n_pairs > _CANDIDATE_LIMIT:
+        return _ngram_verify_joined(ds, pairs_ds, n_pairs)
     pair_rows = pairs_ds.select_columns(["id_a", "id_b"]).take_all()
     involved = sorted({r["id_a"] for r in pair_rows} | {r["id_b"] for r in pair_rows})
     if not involved:
@@ -839,41 +837,39 @@ def ngram_jaccard_verify(ds, pairs_ds, text_col: str = "text", id_col: str = "do
 
     def semi_join(batch: pa.Table) -> pa.Table:
         wanted = ray.get(ids_ref)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return batch.filter(pa.array(np.isin(ids, wanted)))
 
     matched = (
-        ds.select_columns([id_col, text_col])
+        ds.select_columns(["doc_id", "text"])
         .map_batches(semi_join, batch_format="pyarrow")
         .take_all()
     )  # bounded: ≤ 2×|pairs| rows survive the semi-join
-    matched.sort(key=lambda row: row[id_col])
+    matched.sort(key=lambda row: row["doc_id"])
     # broadcast (sorted int64 ids, texts) as separate refs: the id
     # array ray.gets zero-copy per batch; the text tuple (strings —
     # not zero-copy-able) goes through the per-worker cached_get memo
     # so it unpickles once per worker, never per batch
     from ..functions.broadcast import cached_get
 
-    tid_ref = ray.put(np.array([row[id_col] for row in matched], dtype=np.int64))
-    txt_ref = ray.put(tuple(row[text_col] or "" for row in matched))
+    tid_ref = ray.put(np.array([row["doc_id"] for row in matched], dtype=np.int64))
+    txt_ref = ray.put(tuple(row["text"] or "" for row in matched))
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
         tids = ray.get(tid_ref)  # zero-copy numpy view
         texts = cached_get(txt_ref)
 
         def _text(key_arr):
-            idx = np.searchsorted(tids, key_arr)
-            idx_c = np.minimum(idx, max(len(tids) - 1, 0))
+            pos, hit = sorted_lookup(tids, np.arange(len(tids)), key_arr)
             # an id absent from the corpus scores as '' (matches the
             # joined path's NULL→'' semantics)
-            return [texts[j] if len(tids) and tids[j] == key else ""
-                    for j, key in zip(idx_c, key_arr)]
+            return [texts[j] if h else "" for j, h in zip(pos, hit)]
 
         a_txt = _text(batch["id_a"].to_numpy(dtype=np.int64))
         b_txt = _text(batch["id_b"].to_numpy(dtype=np.int64))
         jac = []
         for ta, tb in zip(a_txt, b_txt):
-            ga, gb = char_grams(ta, n), char_grams(tb, n)
+            ga, gb = char_grams(ta), char_grams(tb)
             union = len(ga | gb)
             jac.append(len(ga & gb) / union if union else 0.0)
         out = batch[["id_a", "id_b"]].copy()  # same projection as the joined path
@@ -886,9 +882,13 @@ def ngram_jaccard_verify(ds, pairs_ds, text_col: str = "text", id_col: str = "do
 # ---------------------------------------------------------------- embeddings
 
 
-def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
-                        vec_col: str = "embedding", num_blocks: int = 8):
-    """Embedding-cosine near-dup pairs (id_a < id_b, cosine ≥ threshold).
+# blocks of the triangle partition: ~sqrt(cluster parallelism)
+_EMBED_BLOCKS = 8
+
+
+def embedding_dup_pairs(ds, threshold: float = 0.95):
+    """Embedding-cosine near-dup pairs (id_a < id_b, cosine ≥ threshold)
+    of ``(vec_id, embedding)`` rows.
 
     EXACT all-pairs via triangle block partitioning — no driver-side
     materialization, no recall loss (an LSH pre-filter would drop true
@@ -898,23 +898,20 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     group keys runs one vectorized matmul per group between its two
     block sides, so every pair is compared in exactly one group.
     Communication is O(N·B·dim) and per-task memory O((N/B)·dim);
-    size ``num_blocks`` ~ sqrt(cluster parallelism) so the quadratic
-    work (inherent to exact all-pairs) spreads across the cluster.
+    ``B`` = ``_EMBED_BLOCKS`` ~ sqrt(cluster parallelism) so the
+    quadratic work (inherent to exact all-pairs) spreads across the
+    cluster.
     """
-    B = int(num_blocks)
+    B = _EMBED_BLOCKS
 
     def explode_groups(batch: pa.Table) -> pa.Table:
         # Arrow-native ×B replication: one Table.take over repeated row
         # indices copies the list<float> column inside Arrow (no
         # per-row Python, no to_pylist of the vectors)
         n = batch.num_rows
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        with np.errstate(over="ignore"):
-            blocks = (
-                ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                % np.uint64(B)
-            ).astype(np.int64)
-        rep = batch.select([id_col, vec_col]).take(
+        blocks = bucket_of(batch["vec_id"].to_numpy(zero_copy_only=False)
+                           .astype(np.int64), B)
+        rep = batch.select(["vec_id", "embedding"]).take(
             pa.array(np.repeat(np.arange(n, dtype=np.int64), B)))
         b_rep = np.repeat(blocks, B)
         j = np.tile(np.arange(B, dtype=np.int64), n)
@@ -922,9 +919,9 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
         gj = np.maximum(b_rep, j)
         return pa.table({
             "pair_group": pa.array(gi * B + gj, type=pa.int64()),
-            id_col: rep[id_col],
+            "vec_id": rep["vec_id"],
             "block": pa.array(b_rep, type=pa.int64()),
-            vec_col: rep[vec_col],
+            "embedding": rep["embedding"],
         })
 
     def _norm(mat: np.ndarray) -> np.ndarray:
@@ -941,9 +938,9 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
     def group_pairs(g: pd.DataFrame) -> pd.DataFrame:
         key = int(g["pair_group"].iloc[0])
         gi, gj = divmod(key, B)
-        ids = g[id_col].to_numpy(dtype=np.int64)
+        ids = g["vec_id"].to_numpy(dtype=np.int64)
         blocks = g["block"].to_numpy(dtype=np.int64)
-        mat = _norm(np.stack([np.asarray(v, dtype=np.float64) for v in g[vec_col]]))
+        mat = _norm(np.stack([np.asarray(v, dtype=np.float64) for v in g["embedding"]]))
         if gi == gj:
             sims = mat @ mat.T
             ii, jj = np.nonzero(np.triu(sims >= threshold, k=1))
@@ -967,9 +964,9 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
 
     from .relational import _shuffle_parts
 
-    n_groups = num_blocks * (num_blocks + 1) // 2
+    n_groups = B * (B + 1) // 2
     return (
-        ds.select_columns([id_col, vec_col])
+        ds.select_columns(["vec_id", "embedding"])
         .map_batches(explode_groups, batch_format="pyarrow")
         .repartition(_shuffle_parts(n_groups))
         .groupby("pair_group")
@@ -980,14 +977,15 @@ def embedding_dup_pairs(ds, threshold: float = 0.95, id_col: str = "vec_id",
 # ---------------------------------------------------------------- clustering
 
 
-def _bucket_of(keys: np.ndarray, num_buckets: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return ((keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                % np.uint64(num_buckets)).astype(np.int64)
+# Pairs up to which dedup_clusters labels components by union-find on
+# the driver; above it, distributed_components labels them
+_PAIR_LIMIT = 5_000_000
+# (node, label) buckets of each distributed_components shuffle
+_COMPONENT_BUCKETS = COARSE_BUCKETS
+_MAX_ROUNDS = 100  # label-propagation rounds before giving up
 
 
-def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
-                           max_rounds: int = 100):
+def distributed_components(pairs_ds):
     """Connected-component labels over a pair graph too large for the
     driver: iterated distributed min-label propagation.
 
@@ -1007,8 +1005,12 @@ def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
 
     Returns a Dataset of (node:int64, label:int64) with
     label = min node id of the component. Nodes not in any pair are
-    absent (callers default them to self)."""
+    absent (callers default them to self). Each shuffle has
+    ``_COMPONENT_BUCKETS`` buckets; no fixpoint within ``_MAX_ROUNDS``
+    rounds raises ``RuntimeError``."""
     from ray.data.aggregate import Sum
+
+    num_buckets = _COMPONENT_BUCKETS  # read while the plan is built
 
     def both_dirs(batch: pa.Table) -> pa.Table:
         a = batch["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1019,7 +1021,7 @@ def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
             "node": pa.array(u, type=pa.int64()),
             "label": pa.nulls(len(u), type=pa.int64()),
             "peer": pa.array(v, type=pa.int64()),
-            "bucket": pa.array(_bucket_of(v, num_buckets), type=pa.int64()),
+            "bucket": pa.array(bucket_of(v, num_buckets), type=pa.int64()),
             "side": pa.array(np.zeros(len(u), dtype=np.int8), type=pa.int8()),
         })
 
@@ -1043,7 +1045,7 @@ def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
     def bucket_by_node(batch: pa.Table) -> pa.Table:
         nodes = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         return batch.append_column(
-            "nbucket", pa.array(_bucket_of(nodes, num_buckets), type=pa.int64())
+            "nbucket", pa.array(bucket_of(nodes, num_buckets), type=pa.int64())
         )
 
     labels = (
@@ -1060,7 +1062,7 @@ def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
             "node": batch["node"],
             "label": batch["label"],
             "peer": pa.nulls(n, type=pa.int64()),
-            "bucket": pa.array(_bucket_of(nodes, num_buckets), type=pa.int64()),
+            "bucket": pa.array(bucket_of(nodes, num_buckets), type=pa.int64()),
             "side": pa.array(np.ones(n, dtype=np.int8), type=pa.int8()),
         })
 
@@ -1078,21 +1080,15 @@ def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
         lab_node = lab["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         lab_label = lab["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(lab_node, kind="mergesort")
-        ln, ll = lab_node[order], lab_label[order]
         e_node = edg["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         peer = edg["peer"].to_numpy(zero_copy_only=False).astype(np.int64)
         # neighbor candidates: edge (u ← peer) picks up peer's label.
         # Every peer has a label row in this bucket (both are keyed by
         # hash(peer)/hash(node)); the mask is defensive only.
-        if len(ln):
-            idx = np.searchsorted(ln, peer)
-            idx_c = np.minimum(idx, len(ln) - 1)
-            valid = ln[idx_c] == peer
-        else:  # no label rows in this bucket (cannot happen by keying)
-            idx_c = valid = np.zeros(len(peer), dtype=bool)
+        cand, valid = sorted_lookup(lab_node[order], lab_label[order], peer)
         # own current label rides along (labels never increase)
         out_node = np.concatenate([e_node[valid], lab_node])
-        out_label = np.concatenate([ll[idx_c[valid]], lab_label])
+        out_label = np.concatenate([cand[valid], lab_label])
         return pa.table({"node": pa.array(out_node, type=pa.int64()),
                          "label": pa.array(out_label, type=pa.int64())})
 
@@ -1129,7 +1125,7 @@ def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
         return pa.table({
             "node": pa.array(np.concatenate([node, node]), type=pa.int64()),
             "label": pa.array(np.concatenate([label, label]), type=pa.int64()),
-            "bucket": pa.array(_bucket_of(key, num_buckets), type=pa.int64()),
+            "bucket": pa.array(bucket_of(key, num_buckets), type=pa.int64()),
             "side": pa.array(side, type=pa.int8()),
         })
 
@@ -1152,7 +1148,7 @@ def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
         })
 
     prev_sum = None
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         tagged = edges.union(labels.map_batches(tag_labels, batch_format="pyarrow"))
         # pointer jumping: each node appears exactly once, so the jump
         # output needs no re-combine
@@ -1173,39 +1169,37 @@ def distributed_components(pairs_ds, num_buckets: int = COARSE_BUCKETS,
             return labels
         prev_sum = total
     raise RuntimeError(
-        f"label propagation did not converge in {max_rounds} rounds"
+        f"label propagation did not converge in {_MAX_ROUNDS} rounds"
     )
 
 
-def _attach_labels(batch: pa.Table, id_col: str, nodes: np.ndarray,
-                   labels: np.ndarray) -> pa.Table:
-    """(id, cluster_id, is_representative) for a batch of documents,
+def _attach_labels(batch: pa.Table, nodes: np.ndarray, labels: np.ndarray) -> pa.Table:
+    """(doc_id, cluster_id, is_representative) for a batch of documents,
     given the component label of each node as sorted int64
     ``(nodes, labels)`` arrays; an unlabeled (never-paired) document is
     its own cluster. int64 numpy throughout: a pandas left-merge +
     fillna would round-trip the labels through float64 (lossy ≥ 2^53)."""
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     label, hit = sorted_lookup(nodes, labels, ids)
     cluster = np.where(hit, label, ids)
-    out = batch.select([id_col])
+    out = batch.select(["doc_id"])
     out = out.append_column("cluster_id", pa.array(cluster, type=pa.int64()))
     return out.append_column(
         "is_representative", pa.array(cluster == ids, type=pa.bool_())
     )
 
 
-def _assign_labels_distributed(docs_ds, labels_ds, id_col: str,
-                               num_buckets: int = COARSE_BUCKETS):
+def _assign_labels_distributed(docs_ds, labels_ds):
     """Left-join cluster labels onto the corpus as one bucket shuffle;
     unlabeled (never-paired) docs default to their own id."""
 
     def tag_docs(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         n = len(ids)
         return pa.table({
-            id_col: pa.array(ids, type=pa.int64()),
+            "doc_id": pa.array(ids, type=pa.int64()),
             "label": pa.nulls(n, type=pa.int64()),
-            "bucket": pa.array(_bucket_of(ids, num_buckets), type=pa.int64()),
+            "bucket": pa.array(bucket_of(ids, COARSE_BUCKETS), type=pa.int64()),
             "side": pa.array(np.zeros(n, dtype=np.int8), type=pa.int8()),
         })
 
@@ -1213,13 +1207,13 @@ def _assign_labels_distributed(docs_ds, labels_ds, id_col: str,
         nodes = batch["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         n = len(nodes)
         return pa.table({
-            id_col: pa.array(nodes, type=pa.int64()),
+            "doc_id": pa.array(nodes, type=pa.int64()),
             "label": batch["label"],
-            "bucket": pa.array(_bucket_of(nodes, num_buckets), type=pa.int64()),
+            "bucket": pa.array(bucket_of(nodes, COARSE_BUCKETS), type=pa.int64()),
             "side": pa.array(np.ones(n, dtype=np.int8), type=pa.int8()),
         })
 
-    tagged = docs_ds.select_columns([id_col]).map_batches(
+    tagged = docs_ds.select_columns(["doc_id"]).map_batches(
         tag_docs, batch_format="pyarrow"
     ).union(labels_ds.map_batches(tag_labels, batch_format="pyarrow"))
 
@@ -1228,22 +1222,21 @@ def _assign_labels_distributed(docs_ds, labels_ds, id_col: str,
 
         docs = group.filter(pc.equal(group["side"], 0))
         lab = group.filter(pc.equal(group["side"], 1))
-        l_ids = lab[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        l_ids = lab["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         l_lab = lab["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(l_ids, kind="mergesort")
-        return _attach_labels(docs, id_col, l_ids[order], l_lab[order])
+        return _attach_labels(docs, l_ids[order], l_lab[order])
 
     return tagged.groupby("bucket").map_groups(assign, batch_format="pyarrow")
 
 
-def dedup_clusters(docs_ds, pairs_ds, id_col: str = "doc_id",
-                   pair_limit: int = 5_000_000):
+def dedup_clusters(docs_ds, pairs_ds):
     """Near-dup clustering: connected components over the LSH pair
-    graph; every document gets ``cluster_id`` = the smallest doc id in
-    its component (itself when un-paired) and ``is_representative``.
+    graph; every document gets ``cluster_id`` = the smallest ``doc_id``
+    in its component (itself when un-paired) and ``is_representative``.
 
     Scale shape: the PAIR set after LSH is orders of magnitude smaller
-    than the corpus, so under ``pair_limit`` the component labels are
+    than the corpus, so up to ``_PAIR_LIMIT`` pairs the component labels are
     computed once with union-find over the collected pairs and
     broadcast via ``ray.put``; the per-document labeling is a
     distributed vectorized map — the corpus itself never leaves the
@@ -1252,7 +1245,8 @@ def dedup_clusters(docs_ds, pairs_ds, id_col: str = "doc_id",
     min-label propagation, two bucket shuffles over (node, label) rows
     per round — and attach through a distributed bucket left-join
     (:func:`_assign_labels_distributed`); nothing is ever collected to
-    the driver. Force the distributed path with ``pair_limit=0``."""
+    the driver. Setting ``_PAIR_LIMIT = 0`` before the call forces the
+    distributed path."""
     import ray
 
     # materialize once: both the count and the consumer below read the
@@ -1260,9 +1254,9 @@ def dedup_clusters(docs_ds, pairs_ds, id_col: str = "doc_id",
     # would re-execute (pairs ≪ corpus, so the footprint is bounded)
     pairs_ds = pairs_ds.materialize()
     n_pairs = pairs_ds.count()
-    if n_pairs > pair_limit:
+    if n_pairs > _PAIR_LIMIT:
         labels = distributed_components(pairs_ds)
-        return _assign_labels_distributed(docs_ds, labels, id_col)
+        return _assign_labels_distributed(docs_ds, labels)
     parent: dict = {}
 
     def find(x: int) -> int:
@@ -1290,13 +1284,12 @@ def dedup_clusters(docs_ds, pairs_ds, id_col: str = "doc_id",
     ref = ray.put((nodes, labels))
 
     def assign(batch: pa.Table) -> pa.Table:
-        return _attach_labels(batch, id_col, *ray.get(ref))
+        return _attach_labels(batch, *ray.get(ref))
 
     return docs_ds.map_batches(assign, batch_format="pyarrow")
 
 
-def cluster_best(docs_ds, pairs_ds, id_col: str = "doc_id",
-                 rows_hint: int | None = None):
+def cluster_best(docs_ds, pairs_ds, rows_hint: int | None = None):
     """Representative selection after near-dup clustering: per cluster,
     keep the highest-quality document (``quality_score`` from
     :class:`~.textstats.TextStats`; ties break to the smallest id) —
@@ -1315,41 +1308,41 @@ def cluster_best(docs_ds, pairs_ds, id_col: str = "doc_id",
     from .relational import hash_join, shuffle_coalesced
     from .textstats import text_stats
 
-    labels = dedup_clusters(docs_ds, pairs_ds, id_col=id_col).drop_columns(
+    labels = dedup_clusters(docs_ds, pairs_ds).drop_columns(
         ["is_representative"]
     )
     def rename_id(batch: pa.Table) -> pa.Table:
         # Dataset.rename_columns in Ray 2.49 breaks on pandas-format
         # upstream blocks (its UDF assumes Arrow); rename explicitly
         return batch.rename_columns(
-            ["q_doc_id" if c == id_col else c for c in batch.column_names]
+            ["q_doc_id" if c == "doc_id" else c for c in batch.column_names]
         )
 
     quality = (
         text_stats(docs_ds)
-        .select_columns([id_col, "quality_score"])
+        .select_columns(["doc_id", "quality_score"])
         .map_batches(rename_id, batch_format="pyarrow")
     )
-    l_schema = pa.schema([(id_col, pa.int64()), ("cluster_id", pa.int64())])
+    l_schema = pa.schema([("doc_id", pa.int64()), ("cluster_id", pa.int64())])
     r_schema = pa.schema([("q_doc_id", pa.int64()),
                           ("quality_score", pa.float64())])
-    joined = hash_join(labels, quality, on=id_col, right_on="q_doc_id",
+    joined = hash_join(labels, quality, on="doc_id", right_on="q_doc_id",
                        left_schema=l_schema, right_schema=r_schema,
                        rows_hint=rows_hint, salt=1)
 
     def add_cbucket(batch: pa.Table) -> pa.Table:
         cl = batch["cluster_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return batch.append_column(
-            "cbucket", pa.array(_bucket_of(cl, COARSE_BUCKETS), type=pa.int64())
+            "cbucket", pa.array(bucket_of(cl, COARSE_BUCKETS), type=pa.int64())
         )
 
     def best(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["quality_score", id_col],
+        g = group.sort_values(["quality_score", "doc_id"],
                               ascending=[False, True], kind="mergesort")
         top = g.groupby("cluster_id", sort=False).head(1)
         return pd.DataFrame({
             "cluster_id": top["cluster_id"].to_numpy(dtype="int64"),
-            "best_doc_id": top[id_col].to_numpy(dtype="int64"),
+            "best_doc_id": top["doc_id"].to_numpy(dtype="int64"),
             "best_quality": top["quality_score"].to_numpy(dtype="float64"),
         })
 

@@ -6,11 +6,11 @@ decode/feature stages are task stages over small pyarrow batches, with
 one stage instance per worker process
 (:func:`~..functions.broadcast.task_stage`).
 
-Decode modes: ``deterministic=True`` (default) produces a
+Decode modes: :func:`decode_media` runs ``DecodeMedia``'s
 deterministic fake decode (header sniff + content hash + fake
 dimensions) so the Ray-side plumbing — schema, batch sizing, stage
 signature, output layout — is testable and value-gated identically in
-every container; ``deterministic=False`` is the REAL decode — Pillow
+every container; ``DecodeMedia(deterministic=False)`` is the REAL decode — Pillow
 when installed, else the built-in pure-python PNG codec
 (:func:`decode_png`: stdlib zlib inflate + spec-correct unfiltering);
 other formats without Pillow raise ``NotImplementedError`` marking
@@ -285,12 +285,13 @@ def frame_sample(batch: pa.Table) -> pa.Table:
     )
 
 
-def decode_media(ds, deterministic: bool = True):
-    """Media decode pipeline stage (small batches: blobs are wide rows).
-    ``deterministic=False`` switches the stage to real Pillow decode
-    (see :class:`DecodeMedia`)."""
+def decode_media(ds):
+    """Media decode pipeline stage (small batches: blobs are wide rows):
+    :class:`DecodeMedia`'s deterministic decode, which the driver
+    value-gates. ``DecodeMedia(deterministic=False)`` is the real
+    decode."""
     return ds.map_batches(
-        task_stage("decode_media", DecodeMedia, deterministic=deterministic),
+        task_stage("decode_media", DecodeMedia),
         batch_format="pyarrow", batch_size=MEDIA_BATCH_SIZE,
     )
 

@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.broadcast import sorted_lookup
+from ..functions.hashing import bucket_of
 from ..sources.transcripts import read_table
 
 
@@ -97,18 +98,20 @@ def pricing_summary(sf_dir: str):
 
 # A broadcast side above this row count would be an unguarded
 # driver-side materialization (at sf100 the customer table is 15M
-# rows); such joins fall back to the bucket-shuffle hash_join.
+# rows); such joins fall back to the bucket-shuffle hash_join. The
+# guarded queries read it on the driver while they build their plans.
 BROADCAST_ROW_LIMIT = 2_000_000
+# coarse buckets of the keyed aggregate and per-user window shuffles
+_KEY_BUCKETS = 64
 
 
 def join_auto(large, small, on: str, right_on: str,
               large_schema: pa.Schema, small_schema: pa.Schema,
-              broadcast_limit: int = BROADCAST_ROW_LIMIT,
               rows_hint: int | None = None, salt: int | None = None):
     """Inner join that picks its physical plan by the small side's
     *measured* size: a broadcast map-join (small side collected once,
     ``ray.put``, vectorized pandas merge per batch — no shuffle) when
-    it fits under ``broadcast_limit`` rows, else the bucket-shuffle
+    it has at most ``BROADCAST_ROW_LIMIT`` rows, else the bucket-shuffle
     :func:`hash_join`. ``small.count()`` is metadata-cheap on raw
     parquet reads. Pass ``rows_hint`` (e.g. parquet-footer counts)
     when ``large`` is a DERIVED pipeline: without it the fallback
@@ -120,7 +123,7 @@ def join_auto(large, small, on: str, right_on: str,
     from ..functions.broadcast import cached_get
 
     small_rows = small.count()
-    if small_rows <= broadcast_limit:
+    if small_rows <= BROADCAST_ROW_LIMIT:
         small_df = small.to_pandas()
         ref = ray.put(small_df)
 
@@ -135,7 +138,7 @@ def join_auto(large, small, on: str, right_on: str,
                      salt=salt)
 
 
-def revenue_by_segment(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIMIT):
+def revenue_by_segment(sf_dir: str):
     """orders ⨝ customer — broadcast when customer fits under the
     guard, bucket-shuffle hash_join otherwise (see :func:`join_auto`)."""
     from ray.data.aggregate import Sum
@@ -146,7 +149,6 @@ def revenue_by_segment(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIMIT):
         orders, cust, "o_custkey", "c_custkey",
         _projected_schema(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
         _projected_schema(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
-        broadcast_limit,
     )
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -322,10 +324,7 @@ def hash_join(left, right, on: str, right_on: str,
     def tagger(key: str, own: pa.Schema, side: int):
         def tag(batch: pa.Table) -> pa.Table:
             n = len(batch)
-            keys = batch[key].to_numpy(zero_copy_only=False).astype(np.uint64)
-            with np.errstate(over="ignore"):
-                bucket = ((keys * np.uint64(0x9E3779B97F4A7C15))
-                          % np.uint64(num_buckets)).astype(np.int64)
+            bucket = bucket_of(batch[key].to_numpy(zero_copy_only=False), num_buckets)
             cols, names = [], []
             for f in unified:
                 names.append(f.name)
@@ -430,10 +429,7 @@ def customer_order_counts(sf_dir: str):
         out = batch.groupby("c_custkey", as_index=False).agg(
             n_orders=("o_orderkey", "count"))
         out["n_orders"] = out["n_orders"].astype("int64")
-        k = out["c_custkey"].to_numpy(dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            out["bucket"] = ((k * np.uint64(0x9E3779B97F4A7C15))
-                             % np.uint64(64)).astype("int64")
+        out["bucket"] = bucket_of(out["c_custkey"].to_numpy(), _KEY_BUCKETS)
         return out
 
     def combine(group: pd.DataFrame) -> pd.DataFrame:
@@ -444,7 +440,7 @@ def customer_order_counts(sf_dir: str):
 
     return (
         j.map_batches(partial, batch_format="pandas")
-        .repartition(_shuffle_parts(64, rows))
+        .repartition(_shuffle_parts(_KEY_BUCKETS, rows))
         .groupby("bucket")
         .map_groups(combine, batch_format="pandas")
     )
@@ -507,7 +503,7 @@ def _projected_schema(sf_dir: str, table: str, columns: list) -> pa.Schema:
     return pa.schema([full.field(c) for c in columns])
 
 
-def customers_per_region(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIMIT):
+def customers_per_region(sf_dir: str):
     """3-way dimension join (nation ⨝ region pre-composed when both
     fit under the broadcast guard; hash_join fallback otherwise)."""
     import ray
@@ -517,7 +513,8 @@ def customers_per_region(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIMIT
     nation_ds = read_table(sf_dir, "nation", columns=["n_nationkey", "n_regionkey"])
     region_ds = read_table(sf_dir, "region", columns=["r_regionkey", "r_name"])
 
-    if nation_ds.count() <= broadcast_limit and region_ds.count() <= broadcast_limit:
+    limit = BROADCAST_ROW_LIMIT
+    if nation_ds.count() <= limit and region_ds.count() <= limit:
         # compose the two tiny dims into one lookup, broadcast once as a
         # (sorted int64 keys, int64 codes) numpy pair — ``ray.get`` is a
         # plasma zero-copy view per batch (a dict broadcast would
@@ -583,8 +580,11 @@ def _topk_prune(batch: pa.Table, k: int) -> pa.Table:
     return batch.take(idx[:k])
 
 
-def top_orders(sf_dir: str, k: int = 10):
-    """Global top-k by price: per-batch top-k prune (combiner) → tiny
+_TOP_ORDERS = 10  # rows of top_orders
+
+
+def top_orders(sf_dir: str):
+    """Global top-10 by price: per-batch top-k prune (combiner) → tiny
     sort + limit, deterministic tie-break."""
     ds = read_table(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
 
@@ -592,12 +592,12 @@ def top_orders(sf_dir: str, k: int = 10):
         t = batch.append_column("price_cents", _cents(batch["o_totalprice"])).drop_columns(
             ["o_totalprice"]
         )
-        return _topk_prune(t, k)
+        return _topk_prune(t, _TOP_ORDERS)
 
     return (
         ds.map_batches(add_cents, batch_format="pyarrow")
         .sort([("price_cents"), ("o_orderkey")], descending=[True, False])
-        .limit(k)
+        .limit(_TOP_ORDERS)
     )
 
 
@@ -666,7 +666,7 @@ def daily_event_stats(sf_dir: str):
     )
 
 
-def local_supplier_revenue(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIMIT):
+def local_supplier_revenue(sf_dir: str):
     """TPC-H Q5 shape: revenue by nation where customer and supplier
     share a nation — a 5-way join. The one large⨝large edge
     (lineitem ⨝ orders) goes through the bucket-shuffle
@@ -693,8 +693,8 @@ def local_supplier_revenue(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIM
 
     import ray
 
-    if (cust.count() <= broadcast_limit and supp.count() <= broadcast_limit
-            and nation.count() <= broadcast_limit):
+    limit = BROADCAST_ROW_LIMIT
+    if cust.count() <= limit and supp.count() <= limit and nation.count() <= limit:
         # all three dims fit: ONE fused stage does lookup + co-nation
         # filter + per-batch partial aggregation (no extra map stages).
         # The lookups are broadcast as SORTED int64 numpy (key, value)
@@ -754,12 +754,10 @@ def local_supplier_revenue(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIM
     # bucket sizing from parquet-footer counts (lineitem rows bound the
     # joined cardinality), never a count() of the derived left side
     line_rows = _table_rows(sf_dir, "lineitem")
-    j2 = join_auto(joined, cust, "o_custkey", "c_custkey",
-                   lo_schema, c_schema, broadcast_limit,
+    j2 = join_auto(joined, cust, "o_custkey", "c_custkey", lo_schema, c_schema,
                    rows_hint=line_rows + _table_rows(sf_dir, "customer"), salt=1)
     j3 = join_auto(j2, supp, "l_suppkey", "s_suppkey",
                    pa.schema(list(lo_schema) + list(c_schema)), s_schema,
-                   broadcast_limit,
                    rows_hint=line_rows + _table_rows(sf_dir, "supplier"), salt=1)
 
     nat_type = n_schema.field("n_nationkey").type
@@ -783,7 +781,7 @@ def local_supplier_revenue(sf_dir: str, broadcast_limit: int = BROADCAST_ROW_LIM
     pre = j3.map_batches(partial, batch_format="pandas", batch_size=65536)
     pre_schema = pa.schema([("s_nationkey", nat_type), ("revenue_cents", pa.int64())])
     j4 = join_auto(pre, nation, "s_nationkey", "n_nationkey",
-                   pre_schema, n_schema, broadcast_limit, salt=1)
+                   pre_schema, n_schema, salt=1)
     return (
         j4.groupby("n_name")
         .aggregate(Sum("revenue_cents", alias_name="revenue_cents"))
@@ -808,9 +806,11 @@ def parts_by_brand(sf_dir: str):
     )
 
 
-def top_orders_per_segment(sf_dir: str, k: int = 3,
-                           broadcast_limit: int = BROADCAST_ROW_LIMIT):
-    """Window-rank shape: top-k orders by price within each customer
+_SEGMENT_TOP = 3  # orders ranked per segment by top_orders_per_segment
+
+
+def top_orders_per_segment(sf_dir: str):
+    """Window-rank shape: top-3 orders by price within each customer
     segment (rank() OVER (PARTITION BY segment ORDER BY price DESC)).
     The segment attach goes through :func:`join_auto` (broadcast under
     the guard, shuffle join above); the rank itself is a per-group
@@ -822,7 +822,6 @@ def top_orders_per_segment(sf_dir: str, k: int = 3,
         orders, cust, "o_custkey", "c_custkey",
         _projected_schema(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]),
         _projected_schema(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
-        broadcast_limit,
     )
 
     def tag(batch: pd.DataFrame) -> pd.DataFrame:
@@ -832,11 +831,12 @@ def top_orders_per_segment(sf_dir: str, k: int = 3,
         return (
             out.sort_values(["price_cents", "o_orderkey"], ascending=[False, True])
             .groupby("c_mktsegment", sort=False)
-            .head(k)
+            .head(_SEGMENT_TOP)
         )
 
     def global_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["price_cents", "o_orderkey"], ascending=[False, True]).head(k)
+        g = group.sort_values(["price_cents", "o_orderkey"],
+                              ascending=[False, True]).head(_SEGMENT_TOP)
         g = g.copy()
         g["rnk"] = np.arange(1, len(g) + 1, dtype=np.int64)
         return g
@@ -861,9 +861,9 @@ def region_nation_names(sf_dir: str):
     return pd.DataFrame({"name": names})
 
 
-def trailing_event_avg(sf_dir: str, window: int = 3):
+def trailing_event_avg(sf_dir: str):
     """Sliding (trailing rows-frame) window: per event_type, the
-    ``window``-day moving average of the daily value sum —
+    3-day moving average of the daily value sum —
     AVG(...) OVER (PARTITION BY type ORDER BY day ROWS BETWEEN 2
     PRECEDING AND CURRENT ROW). Daily sums are the partial aggregate
     (exact integer cents); the rolling frame runs per-group over the
@@ -887,8 +887,8 @@ def trailing_event_avg(sf_dir: str, window: int = 3):
 
     def rolling(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values("day").reset_index(drop=True)
-        sums = g["sum_cents"].rolling(window, min_periods=1).sum().astype("int64")
-        counts = g["sum_cents"].rolling(window, min_periods=1).count().astype("int64")
+        sums = g["sum_cents"].rolling(3, min_periods=1).sum().astype("int64")
+        counts = g["sum_cents"].rolling(3, min_periods=1).count().astype("int64")
         # single IEEE division of exact integers — matches SQL AVG
         g["avg_cents"] = sums.to_numpy() / counts.to_numpy()
         return g[["event_type", "day", "avg_cents"]]
@@ -896,7 +896,7 @@ def trailing_event_avg(sf_dir: str, window: int = 3):
     return daily.groupby("event_type").map_groups(rolling, batch_format="pandas")
 
 
-def users_per_event_type(sf_dir: str, num_buckets: int = 64):
+def users_per_event_type(sf_dir: str):
     """Exact COUNT(DISTINCT user_id) per event_type — the exact
     counterpart of the HLL sketch (``t_hll_registers``), as two-level
     aggregation: each batch dedupes its own (type, user) pairs first
@@ -910,10 +910,7 @@ def users_per_event_type(sf_dir: str, num_buckets: int = 64):
 
     def local_dedupe(batch: pd.DataFrame) -> pd.DataFrame:
         out = batch.drop_duplicates()
-        u = out["user_id"].to_numpy(dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            out["bucket"] = ((u * np.uint64(0x9E3779B97F4A7C15))
-                             % np.uint64(num_buckets)).astype("int64")
+        out["bucket"] = bucket_of(out["user_id"].to_numpy(), _KEY_BUCKETS)
         return out
 
     def count_bucket(group: pd.DataFrame) -> pd.DataFrame:
@@ -924,7 +921,7 @@ def users_per_event_type(sf_dir: str, num_buckets: int = 64):
 
     return (
         ds.map_batches(local_dedupe, batch_format="pandas")
-        .repartition(_shuffle_parts(num_buckets, _table_rows(sf_dir, "events")))
+        .repartition(_shuffle_parts(_KEY_BUCKETS, _table_rows(sf_dir, "events")))
         .groupby("bucket")
         .map_groups(count_bucket, batch_format="pandas")
         .groupby("event_type")
@@ -932,7 +929,13 @@ def users_per_event_type(sf_dir: str, num_buckets: int = 64):
     )
 
 
-def event_gaps(sf_dir: str, num_buckets: int = 64):
+def _add_user_bucket(batch: pa.Table) -> pa.Table:
+    """Append ``bucket``, the coarse user bucket of each event row."""
+    bucket = bucket_of(batch["user_id"].to_numpy(zero_copy_only=False), _KEY_BUCKETS)
+    return batch.append_column("bucket", pa.array(bucket, type=pa.int64()))
+
+
+def event_gaps(sf_dir: str):
     """Per-user LAG window: each event's time gap to the user's
     previous event (first event → 0), in exact integer microseconds —
     the remaining classic window shape (LAG/LEAD) next to the rolling
@@ -945,13 +948,6 @@ def event_gaps(sf_dir: str, num_buckets: int = 64):
     event_id) tie-break makes the order — and therefore the gap —
     deterministic on both the engine and SQL sides."""
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bucket = ((uid * np.uint64(0x9E3779B97F4A7C15))
-                      % np.uint64(num_buckets)).astype(np.int64)
-        return batch.append_column("bucket", pa.array(bucket, type=pa.int64()))
 
     def gaps_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -966,51 +962,38 @@ def event_gaps(sf_dir: str, num_buckets: int = 64):
         })
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(_shuffle_parts(num_buckets, _table_rows(sf_dir, "events")))
+        ds.map_batches(_add_user_bucket, batch_format="pyarrow")
+        .repartition(_shuffle_parts(_KEY_BUCKETS, _table_rows(sf_dir, "events")))
         .groupby("bucket")
         .map_groups(gaps_bucket, batch_format="pandas")
     )
 
 
-def user_sessions(sf_dir: str, gap_minutes: int = 30, num_buckets: int = 64):
-    """Sessionization: per-user ordered gap analysis.
+def user_sessions(sf_dir: str):
+    """Sessionization: per-user ordered gap analysis; a gap of more
+    than 30 minutes starts a new session.
 
     One Ray group per *user* would pay the executor's per-group task
     overhead (~40 ms/group measured here) — ruinous at 10⁹ users.
-    Instead users are coarse-bucketed (``hash(user_id) % num_buckets``
-    — one int64 shuffle key, all of a user's events co-located), and
-    the per-user sessionization runs VECTORIZED inside each bucket:
-    one sort + one ``diff`` + one pandas groupby-sum per bucket."""
+    Instead users are coarse-bucketed (``hash(user_id) % 64`` — one
+    int64 shuffle key, all of a user's events co-located), and the
+    per-user sessionization runs VECTORIZED inside each bucket: one
+    sort + one ``diff`` + one pandas groupby-sum per bucket."""
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            bucket = ((uid * np.uint64(0x9E3779B97F4A7C15))
-                      % np.uint64(num_buckets)).astype(np.int64)
-        return batch.append_column("bucket", pa.array(bucket, type=pa.int64()))
 
     def sessions_bucket(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["user_id", "ts"])
         gaps = g.groupby("user_id", sort=False)["ts"].diff().dt.total_seconds().fillna(0.0)
-        breaks = (gaps > gap_minutes * 60).astype("int64")
+        breaks = (gaps > 30 * 60).astype("int64")
         out = breaks.groupby(g["user_id"], sort=False).sum() + 1
         return out.rename("n_sessions").reset_index()
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .repartition(_shuffle_parts(num_buckets, _table_rows(sf_dir, "events")))
+        ds.map_batches(_add_user_bucket, batch_format="pyarrow")
+        .repartition(_shuffle_parts(_KEY_BUCKETS, _table_rows(sf_dir, "events")))
         .groupby("bucket")
         .map_groups(sessions_bucket, batch_format="pandas")
     )
-
-
-def _key_buckets(keys: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Fibonacci-multiply hash → bucket id, vectorized over int keys."""
-    with np.errstate(over="ignore"):
-        return ((keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                % np.uint64(num_buckets)).astype(np.int64)
 
 
 def _table_rows(sf_dir: str, table: str) -> int:
@@ -1051,6 +1034,22 @@ def _ts_minmax_us(ds, sf_dir: str, table: str, col: str) -> tuple:
                 int(np.datetime64(hi, "us").astype("int64")))
 
 
+# Equal-width time epochs the event joins split each key bucket into
+# (1: no time salting)
+_TIME_SALT = 1
+_RANGE_DAYS = 7  # window of range_join_orders_events
+
+
+def _time_bounds(events, orders, sf_dir: str, salt: int) -> tuple:
+    """``(lo, hi)`` µs over both event-join sides when ``salt > 1``,
+    else ``(0, 0)`` (unsalted plans never read the bounds)."""
+    if salt == 1:
+        return 0, 0
+    e_lo, e_hi = _ts_minmax_us(events, sf_dir, "events", "ts")
+    o_lo, o_hi = _ts_minmax_us(orders, sf_dir, "orders", "o_orderdate")
+    return min(e_lo, o_lo), max(e_hi, o_hi)
+
+
 def _epoch_of(ts_us: np.ndarray, lo: int, hi: int, salt: int) -> np.ndarray:
     """Equal-width time epoch ∈ [0, salt) over [lo, hi], clipped so
     out-of-range rows land in the edge epochs."""
@@ -1059,8 +1058,7 @@ def _epoch_of(ts_us: np.ndarray, lo: int, hi: int, salt: int) -> np.ndarray:
     return np.clip(e, 0, salt - 1).astype(np.int64)
 
 
-def asof_join_events_orders(sf_dir: str, num_buckets: int | None = None,
-                            time_salt: int = 1):
+def asof_join_events_orders(sf_dir: str):
     """As-of join — Ray Data has no native one (SURVEY §2.6 custom-op
     list): each event is matched to the SAME user's most recent order
     with ``o_orderdate <= ts``.
@@ -1073,12 +1071,13 @@ def asof_join_events_orders(sf_dir: str, num_buckets: int | None = None,
     equal-date ties resolve to the larger orderkey — the same order
     the SQL ROW_NUMBER oracle picks.
 
-    ``num_buckets`` defaults to :func:`_auto_buckets` over the two
-    tables' parquet-footer row counts (no counting pass).
+    The bucket count is :func:`_auto_buckets` over the two tables'
+    parquet-footer row counts (no counting pass).
 
-    ``time_salt > 1`` bounds per-bucket rows under key skew (one hot
-    user): the time axis is cut into ``time_salt`` equal-width epochs
-    (bounds from parquet row-group stats — footer-only), every event
+    ``_TIME_SALT`` = S > 1 (read while the plan is built) bounds
+    per-bucket rows under key skew (one hot user): the time axis is cut
+    into S equal-width epochs (bounds from parquet row-group stats —
+    footer-only, :func:`_ts_minmax_us`), every event
     goes to the sub-bucket ``key_bucket·S + epoch(ts)``, and every
     order is replicated FORWARD into its own and all later epochs —
     so any event still sees every order at-or-before it, while the hot
@@ -1088,19 +1087,13 @@ def asof_join_events_orders(sf_dir: str, num_buckets: int | None = None,
     events = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
     rows_hint = _table_rows(sf_dir, "events") + _table_rows(sf_dir, "orders")
-    if num_buckets is None:
-        num_buckets = _auto_buckets(rows_hint)
-    S = max(1, int(time_salt))
-    lo = hi = 0
-    if S > 1:
-        e_lo, e_hi = _ts_minmax_us(events, sf_dir, "events", "ts")
-        o_lo, o_hi = _ts_minmax_us(orders, sf_dir, "orders", "o_orderdate")
-        lo, hi = min(e_lo, o_lo), max(e_hi, o_hi)
+    num_buckets = _auto_buckets(rows_hint)
+    S = _TIME_SALT
+    lo, hi = _time_bounds(events, orders, sf_dir, S)
 
     def tag(key_col: str, side: int):
         def fn(batch: pa.Table) -> pa.Table:
-            keys = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            bucket = _key_buckets(keys, num_buckets)
+            bucket = bucket_of(batch[key_col].to_numpy(zero_copy_only=False), num_buckets)
             n = len(batch)
             cols = {
                 "event_id": batch["event_id"] if side == 0 else pa.nulls(n, pa.int64()),
@@ -1166,22 +1159,20 @@ def asof_join_events_orders(sf_dir: str, num_buckets: int | None = None,
     )
 
 
-def range_join_orders_events(sf_dir: str, days: int = 7,
-                             num_buckets: int | None = None,
-                             time_salt: int = 1):
+def range_join_orders_events(sf_dir: str):
     """Range (interval) join — the other custom-op shape Ray Data
     lacks: per order, the number of the same user's events inside
-    ``[o_orderdate, o_orderdate + days)``.
+    ``[o_orderdate, o_orderdate + 7 days)``.
 
     Same physical plan as the as-of join: key-bucket shuffle co-locates
     a user's orders and events; inside each bucket a vectorized pandas
-    merge on the key + interval mask + groupby count. ``num_buckets``
-    defaults to :func:`_auto_buckets` over parquet-footer row counts.
+    merge on the key + interval mask + groupby count. The bucket count
+    is :func:`_auto_buckets` over parquet-footer row counts.
 
-    ``time_salt > 1`` bounds the per-key cross-product under skew:
-    events go to their time epoch's sub-bucket, each order is
-    replicated into every epoch its ``days``-wide window INTERSECTS
-    (≤ ``ceil(days/epoch_width)+1`` replicas — bounded, unlike the
+    ``_TIME_SALT`` = S > 1 (read while the plan is built) bounds the
+    per-key cross-product under skew: events go to their time epoch's
+    sub-bucket, each order is replicated into every epoch its 7-day
+    window INTERSECTS (≤ ``ceil(7 days/epoch_width)+1`` replicas — bounded, unlike the
     as-of join's forward fan), per-sub-bucket counts are partial, and
     one tiny order-keyed Sum re-aggregates them — exact regardless of
     where a window straddles an epoch boundary."""
@@ -1190,20 +1181,15 @@ def range_join_orders_events(sf_dir: str, days: int = 7,
     events = read_table(sf_dir, "events", columns=["user_id", "ts"])
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
     rows_hint = _table_rows(sf_dir, "events") + _table_rows(sf_dir, "orders")
-    if num_buckets is None:
-        num_buckets = _auto_buckets(rows_hint)
-    S = max(1, int(time_salt))
-    lo = hi = 0
+    num_buckets = _auto_buckets(rows_hint)
+    S = _TIME_SALT
+    lo, hi = _time_bounds(events, orders, sf_dir, S)
+    days = _RANGE_DAYS
     window_us = days * 86_400_000_000
-    if S > 1:
-        e_lo, e_hi = _ts_minmax_us(events, sf_dir, "events", "ts")
-        o_lo, o_hi = _ts_minmax_us(orders, sf_dir, "orders", "o_orderdate")
-        lo, hi = min(e_lo, o_lo), max(e_hi, o_hi)
 
     def tag(key_col: str, side: int):
         def fn(batch: pa.Table) -> pa.Table:
-            keys = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            bucket = _key_buckets(keys, num_buckets)
+            bucket = bucket_of(batch[key_col].to_numpy(zero_copy_only=False), num_buckets)
             n = len(batch)
             t = pa.table({
                 "user_id": batch["user_id"] if side == 0 else pa.nulls(n, pa.int64()),

@@ -44,6 +44,9 @@ _WORD_RE = re.compile(r"[a-zà-ÿ]+")
 TEXT_STATS_BATCH_SIZE = 1024
 HLL_BATCH_SIZE = 8192
 _HASH_CACHE_MAX = 1_000_000  # entries of a stage's hash memo (~32 MB); reset beyond
+_COARSE_BUCKETS = 64  # int64 groupby buckets of the combine shuffles
+_SAMPLE_ROWS = 100  # rows of hash_sample
+_QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99)  # of doc_len_quantiles
 
 
 def _memo_hashes(cache: dict, values, hash_fn) -> np.ndarray:
@@ -74,8 +77,7 @@ class TextStats:
     bit-identical to the scalar reference kernels kept below for
     short-document fallback and tests."""
 
-    def __init__(self, text_col: str = "text") -> None:
-        self.text_col = text_col
+    def __init__(self) -> None:
         self.bpe = _BPE_RE
         self.ws = _WS_RE
         self.punct = _PUNCT_RE
@@ -126,7 +128,7 @@ class TextStats:
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         from ..functions.hashing import rolling_min_fingerprint
 
-        text = batch[self.text_col].fillna("")
+        text = batch["text"].fillna("")
         stripped = text.str.strip()
         batch["n_chars"] = text.str.len().astype("int64")
         batch["n_tokens"] = np.where(
@@ -181,7 +183,7 @@ class TextStats:
         # per-word Python work left
         M = self._FP_MOD
         hs_flat = _memo_hashes(self._hash_cache, uniq, lambda w: md5_lower64(w) % M)[codes]
-        fp = rolling_min_fingerprint(hs_flat, offsets, self._FP_BASE, k=5)
+        fp = rolling_min_fingerprint(hs_flat, offsets, self._FP_BASE)
         fingerprints = np.where(fp == np.uint64(self._FP_MOD), 0, fp).astype("int64")
         short = np.flatnonzero((lens > 0) & (lens < 5))
         for r in short:  # rare: <5-word docs use the scalar reference
@@ -190,27 +192,25 @@ class TextStats:
         return batch
 
 
-def text_stats(ds, text_col: str = "text"):
-    """Attach the TextStats columns to a Dataset."""
+def text_stats(ds):
+    """Attach the TextStats columns of ``text`` to a Dataset."""
     return ds.map_batches(
-        task_stage("text_stats", TextStats, text_col=text_col),
+        task_stage("text_stats", TextStats),
         batch_format="pandas",
         batch_size=TEXT_STATS_BATCH_SIZE,
     )
 
 
-def train_test_split_counts(ds, id_col: str = "doc_id", test_mod: int = 10,
-                            train_below: int = 8):
+def train_test_split_counts(ds):
     """Deterministic id-based train/val/test assignment (the standard
     shard-stable split for training corpora: membership is a pure
     function of the id, so re-runs and resumes agree) → per-split
-    counts. id % 10 ∈ [0,8) train, 8 val, 9 test."""
+    counts. doc_id % 10 ∈ [0,8) train, 8 val, 9 test."""
     from ray.data.aggregate import Count
 
     def assign(batch: pa.Table) -> pa.Table:
-        mod = batch[id_col].to_numpy(zero_copy_only=False) % test_mod
-        split = np.where(mod < train_below, "train",
-                         np.where(mod == train_below, "val", "test"))
+        mod = batch["doc_id"].to_numpy(zero_copy_only=False) % 10
+        split = np.where(mod < 8, "train", np.where(mod == 8, "val", "test"))
         return batch.append_column("split", pa.array(split, type=pa.string()))
 
     return (
@@ -228,14 +228,14 @@ def shuffled_sample(ds, n: int = 100, seed: int = 42):
     return ds.random_shuffle(seed=seed).limit(n)
 
 
-def hash_sample(ds, n: int = 100, seed: int = 42, id_col: str = "doc_id"):
+def hash_sample(ds):
     """Deterministic pseudo-random sample: rank rows by
-    ``md5('{id}-{seed}')`` (lowercase hex — exactly DuckDB's ``md5``)
-    and keep the ``n`` smallest. Distributed top-k, no all-to-all:
+    ``md5('{doc_id}-42')`` (lowercase hex — exactly DuckDB's ``md5``)
+    and keep the ``n`` = 100 smallest. Distributed top-k, no all-to-all:
     each batch prunes itself to its local ``n`` smallest keys (the
     combiner), so the final ``sort + limit`` sees at most
     ``n × num_batches`` candidate rows — O(sample), never a shuffle of
-    the corpus. Membership is a pure function of (id, seed): re-runs,
+    the corpus. Membership is a pure function of the id: re-runs,
     resumes and the SQL oracle (``ORDER BY md5(...) LIMIT n``) agree
     exactly.
 
@@ -248,16 +248,16 @@ def hash_sample(ds, n: int = 100, seed: int = 42, id_col: str = "doc_id"):
 
     def prune(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.assign(sort_key=[
-            _md5(f"{i}-{seed}".encode()).hexdigest() for i in batch[id_col]
+            _md5(f"{i}-42".encode()).hexdigest() for i in batch["doc_id"]
         ])
-        return batch.sort_values("sort_key", kind="mergesort").head(n)
+        return batch.sort_values("sort_key", kind="mergesort").head(_SAMPLE_ROWS)
 
-    return ds.map_batches(prune, batch_format="pandas").sort("sort_key").limit(n)
+    return ds.map_batches(prune, batch_format="pandas").sort("sort_key").limit(_SAMPLE_ROWS)
 
 
-def top_words(ds, k: int = 20, text_col: str = "text", num_buckets: int = 64,
-              rows_hint: int | None = None):
-    """Corpus-wide heavy hitters: top-``k`` words by occurrence count.
+def top_words(ds, k: int = 20, rows_hint: int | None = None):
+    """Corpus-wide heavy hitters: top-``k`` words of ``text`` by
+    occurrence count.
 
     Scale shape: the per-batch partial collapses occurrences to one
     (word, cnt) row per DISTINCT word per batch (the combiner), so the
@@ -267,14 +267,14 @@ def top_words(ds, k: int = 20, text_col: str = "text", num_buckets: int = 64,
     BASELINE.md) and summed vectorized per bucket. Each word lives in
     exactly one bucket, so the global top-k equals the top-k of the
     union of per-bucket top-ks: the terminal ``sort + limit`` sees at
-    most ``num_buckets × k`` rows. Boundary ties break
+    most 64 × ``k`` rows. Boundary ties break
     deterministically by (count desc, word asc) — same order as the
     SQL oracle's ``ORDER BY n DESC, word``."""
     from ..functions.hashing import stable_hash64_column
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         words = (
-            batch[text_col].fillna("").str.lower().str.findall(_WORD_RE)
+            batch["text"].fillna("").str.lower().str.findall(_WORD_RE)
             .explode().dropna()
         )
         vc = words.value_counts()
@@ -284,7 +284,7 @@ def top_words(ds, k: int = 20, text_col: str = "text", num_buckets: int = 64,
         })
         out["bucket"] = (
             stable_hash64_column(out["word"].to_numpy())
-            % np.uint64(num_buckets)
+            % np.uint64(_COARSE_BUCKETS)
         ).astype("int64")
         return out
 
@@ -299,7 +299,7 @@ def top_words(ds, k: int = 20, text_col: str = "text", num_buckets: int = 64,
     return (
         shuffle_coalesced(
             ds.map_batches(partial, batch_format="pandas"),
-            num_buckets, rows_hint,  # combiner output ≈ vocabulary ≤ corpus rows
+            _COARSE_BUCKETS, rows_hint,  # combiner output ≈ vocabulary ≤ corpus rows
         )
         .groupby("bucket")
         .map_groups(combine, batch_format="pandas")
@@ -308,11 +308,9 @@ def top_words(ds, k: int = 20, text_col: str = "text", num_buckets: int = 64,
     )
 
 
-def doc_len_quantiles(ds, text_col: str = "text",
-                      ps=(0.25, 0.5, 0.75, 0.9, 0.99),
-                      rows_hint: int | None = None):
-    """Exact distributed quantiles of per-document whitespace token
-    counts, via histogram combine: per-batch ``(n_tokens → count)``
+def doc_len_quantiles(ds, rows_hint: int | None = None):
+    """Exact distributed quantiles (``_QUANTILES``) of per-document
+    whitespace token counts of ``text``, via histogram combine: per-batch ``(n_tokens → count)``
     partials (one row per distinct length per batch — the combiner),
     coarse-bucket vectorized sum, then a driver scan of the full
     histogram, which is bounded by the number of DISTINCT document
@@ -325,7 +323,7 @@ def doc_len_quantiles(ds, text_col: str = "text",
     import math
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        text = batch[text_col].fillna("")
+        text = batch["text"].fillna("")
         stripped = text.str.strip()
         n_tokens = np.where(
             stripped.str.len() > 0, stripped.str.count(_WS_RE) + 1, 0
@@ -334,7 +332,7 @@ def doc_len_quantiles(ds, text_col: str = "text",
         return pd.DataFrame({
             "n_tokens": vals,
             "cnt": cnts.astype("int64"),
-            "bucket": vals % 64,
+            "bucket": vals % _COARSE_BUCKETS,
         })
 
     def combine(group: pd.DataFrame) -> pd.DataFrame:
@@ -346,7 +344,7 @@ def doc_len_quantiles(ds, text_col: str = "text",
 
     rows = (
         shuffle_coalesced(
-            ds.map_batches(partial, batch_format="pandas"), 64, rows_hint,
+            ds.map_batches(partial, batch_format="pandas"), _COARSE_BUCKETS, rows_hint,
         )
         .groupby("bucket")
         .map_groups(combine, batch_format="pandas")
@@ -357,7 +355,7 @@ def doc_len_quantiles(ds, text_col: str = "text",
     n = int(cum[-1]) if len(cum) else 0
     lens = h["n_tokens"].to_numpy() if len(h) else np.array([], dtype=np.int64)
     out_p, out_v = [], []
-    for p in ps:
+    for p in _QUANTILES:
         rank = max(1, math.ceil(p * n))
         idx = int(np.searchsorted(cum, rank, side="left"))
         out_p.append(float(p))
@@ -366,9 +364,9 @@ def doc_len_quantiles(ds, text_col: str = "text",
 
 
 def stratified_sample(ds, group_col: str = "lang_pred", n: int = 20,
-                      seed: int = 42, id_col: str = "doc_id"):
+                      seed: int = 42):
     """Deterministic stratified sample: the ``n`` rows with the
-    smallest ``md5('{id}-{seed}')`` rank *per group* (the balanced
+    smallest ``md5('{doc_id}-{seed}')`` rank *per group* (the balanced
     per-language/per-domain subset selection of a training-data
     pipeline). Same distributed-top-k shape as :func:`hash_sample`,
     per group: each batch prunes itself to its local ``n`` smallest
@@ -378,16 +376,16 @@ def stratified_sample(ds, group_col: str = "lang_pred", n: int = 20,
     Membership is a pure function of (id, seed), so re-runs, resumes
     and the SQL oracle (``row_number() OVER (PARTITION BY g ORDER BY
     md5(...)) <= n``) agree exactly. Same per-row md5 cost note as
-    :func:`hash_sample`. Returns (group, id, sort_key) rows."""
+    :func:`hash_sample`. Returns (group, doc_id, sort_key) rows."""
     from hashlib import md5 as _md5
 
     def prune(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.assign(sort_key=[
-            _md5(f"{i}-{seed}".encode()).hexdigest() for i in batch[id_col]
+            _md5(f"{i}-{seed}".encode()).hexdigest() for i in batch["doc_id"]
         ])
         batch = batch.sort_values("sort_key", kind="mergesort")
         return batch.groupby(group_col, sort=False).head(n)[
-            [group_col, id_col, "sort_key"]
+            [group_col, "doc_id", "sort_key"]
         ]
 
     def finish(group: pd.DataFrame) -> pd.DataFrame:
@@ -400,13 +398,13 @@ def stratified_sample(ds, group_col: str = "lang_pred", n: int = 20,
     )
 
 
-def seq_pack(ds, id_col: str = "doc_id", text_col: str = "text",
-             max_len: int = 2048, num_ranges: int = 1024,
+def seq_pack(ds, max_len: int = 2048, num_ranges: int = 1024,
              rows_hint: int | None = None):
-    """Distributed prefix sum over id order + greedy sequence packing.
+    """Distributed prefix sum over ``doc_id`` order + greedy sequence
+    packing of ``text``.
 
     The training-data op Ray Data has no native operator for: a
-    running total of per-document token counts in stable ``id_col``
+    running total of per-document token counts in stable ``doc_id``
     order, from which each document gets its training-sequence
     ``pack_id = (cum_tokens − n_tokens) // max_len`` (documents are
     laid head-to-tail into fixed ``max_len`` token windows, split at
@@ -433,17 +431,17 @@ def seq_pack(ds, id_col: str = "doc_id", text_col: str = "text",
     from ray.data.aggregate import Max, Min
 
     def tokens_of(batch: pd.DataFrame) -> pd.DataFrame:
-        text = batch[text_col].fillna("")
+        text = batch["text"].fillna("")
         stripped = text.str.strip()
         n_tokens = np.where(
             stripped.str.len() > 0, stripped.str.count(_WS_RE) + 1, 0
         ).astype("int64")
-        return pd.DataFrame({id_col: batch[id_col].to_numpy(dtype="int64"),
+        return pd.DataFrame({"doc_id": batch["doc_id"].to_numpy(dtype="int64"),
                              "n_tokens": n_tokens})
 
     counts = ds.map_batches(tokens_of, batch_format="pandas").materialize()
-    mm = counts.aggregate(Min(id_col, alias_name="lo"),
-                          Max(id_col, alias_name="hi"))
+    mm = counts.aggregate(Min("doc_id", alias_name="lo"),
+                          Max("doc_id", alias_name="hi"))
     if not mm or mm.get("lo") is None:
         return counts  # empty input: nothing to scan
     lo, hi = int(mm["lo"]), int(mm["hi"])
@@ -451,7 +449,7 @@ def seq_pack(ds, id_col: str = "doc_id", text_col: str = "text",
     width = max(1, -(-span // num_ranges))  # ceil: ranges cover [lo, hi]
 
     def add_range(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["range"] = (batch[id_col].to_numpy(dtype="int64") - lo) // width
+        batch["range"] = (batch["doc_id"].to_numpy(dtype="int64") - lo) // width
         return batch
 
     def range_partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -474,11 +472,11 @@ def seq_pack(ds, id_col: str = "doc_id", text_col: str = "text",
 
     def scan_range(group: pd.DataFrame) -> pd.DataFrame:
         off = ray.get(offsets_ref)
-        g = group.sort_values(id_col, kind="mergesort")
+        g = group.sort_values("doc_id", kind="mergesort")
         nt = g["n_tokens"].to_numpy(dtype=np.int64)
         cum = np.cumsum(nt) + off[int(g["range"].iloc[0])]
         return pd.DataFrame({
-            id_col: g[id_col].to_numpy(dtype="int64"),
+            "doc_id": g["doc_id"].to_numpy(dtype="int64"),
             "n_tokens": nt,
             "cum_tokens": cum,
             "pack_id": (cum - nt) // max_len,
@@ -541,12 +539,13 @@ class HllPartial:
         return out
 
 
-def hll_registers(ds, key_col: str = "event_type", val_col: str = "user_id"):
-    """Distinct-count sketch registers per key: per-batch partials
-    (each batch emits at most 1024 register rows per key — the
-    combiner), then one small groupby takes the elementwise max."""
+def hll_registers(ds):
+    """Distinct-count sketch registers of ``user_id`` per
+    ``event_type``: per-batch partials (each batch emits at most 1024
+    register rows per key — the combiner), then one small groupby
+    takes the elementwise max."""
     partials = ds.map_batches(
-        task_stage("hll_partial", HllPartial, key_col=key_col, val_col=val_col),
+        task_stage("hll_partial", HllPartial, "event_type", "user_id"),
         batch_format="pandas",
         batch_size=HLL_BATCH_SIZE,
     )
@@ -555,28 +554,28 @@ def hll_registers(ds, key_col: str = "event_type", val_col: str = "user_id"):
     # a multi-key Ray aggregate would pay per-group overhead across
     # keys × 1024 registers
     def combine(group: pd.DataFrame) -> pd.DataFrame:
-        return group.groupby([key_col, "register_idx"], as_index=False).agg(
+        return group.groupby(["event_type", "register_idx"], as_index=False).agg(
             max_rank=("max_rank", "max")
         )
 
-    return partials.groupby(key_col).map_groups(combine, batch_format="pandas")
+    return partials.groupby("event_type").map_groups(combine, batch_format="pandas")
 
 
-def hll_estimate(registers: pd.DataFrame, key_col: str = "event_type",
-                 b: int = 10) -> pd.DataFrame:
-    """Cardinality estimate from register maxima (standard HLL formula
-    with the small-range linear-counting correction)."""
+def hll_estimate(registers: pd.DataFrame) -> pd.DataFrame:
+    """Cardinality estimate per ``event_type`` from the
+    :func:`hll_registers` maxima (standard HLL formula with the
+    small-range linear-counting correction)."""
     import math
 
-    m = 1 << b
+    m = 1 << HllPartial.B_BITS
     alpha = 0.7213 / (1 + 1.079 / m)
     out = []
-    for key, grp in registers.groupby(key_col):
+    for key, grp in registers.groupby("event_type"):
         regs = np.zeros(m)
         regs[grp["register_idx"].to_numpy()] = grp["max_rank"].to_numpy()
         est = alpha * m * m / np.sum(np.exp2(-regs))
         zeros = int((regs == 0).sum())
         if est <= 2.5 * m and zeros:
             est = m * math.log(m / zeros)
-        out.append({key_col: key, "distinct_est": float(est)})
+        out.append({"event_type": key, "distinct_est": float(est)})
     return pd.DataFrame(out)

@@ -24,3 +24,18 @@ def ray_session():
         pass
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(module, name)`` wraps ``module.name`` for the test; each
+    call, made on the driver while a plan is built, appends its
+    positional arguments to the list ``spy`` returns."""
+
+    def wrap(module, name) -> list:
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        return calls
+
+    return wrap

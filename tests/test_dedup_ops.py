@@ -107,7 +107,7 @@ def clustered_vectors(ray_session):
 def test_knn_brute_finds_cluster_members(clustered_vectors):
     from pdf4py_ray.stages.similarity import knn_brute
 
-    res = knn_brute(clustered_vectors, k=5, num_queries=4).take_all()
+    res = knn_brute(clustered_vectors, num_queries=4).take_all()
     by_query = {}
     for r in res:
         by_query.setdefault(r["query_id"], []).append(r["neighbor_id"])
@@ -120,9 +120,9 @@ def test_knn_lsh_recall_vs_brute(clustered_vectors):
     from pdf4py_ray.stages.similarity import knn_brute, knn_lsh
 
     brute = {(r["query_id"], r["neighbor_id"])
-             for r in knn_brute(clustered_vectors, k=5, num_queries=4).take_all()}
+             for r in knn_brute(clustered_vectors, num_queries=4).take_all()}
     lsh = {(r["query_id"], r["neighbor_id"])
-           for r in knn_lsh(clustered_vectors, k=5, num_queries=4).take_all()}
+           for r in knn_lsh(clustered_vectors, num_queries=4).take_all()}
     recall = len(brute & lsh) / len(brute)
     assert recall >= 0.8, recall
 
@@ -131,9 +131,9 @@ def test_knn_ivf_recall_vs_brute(clustered_vectors):
     from pdf4py_ray.stages.similarity import knn_brute, knn_ivf
 
     brute = {(r["query_id"], r["neighbor_id"])
-             for r in knn_brute(clustered_vectors, k=5, num_queries=4).take_all()}
+             for r in knn_brute(clustered_vectors, num_queries=4).take_all()}
     ivf = {(r["query_id"], r["neighbor_id"])
-           for r in knn_ivf(clustered_vectors, k=5, num_queries=4).take_all()}
+           for r in knn_ivf(clustered_vectors, num_queries=4).take_all()}
     recall = len(brute & ivf) / len(brute)
     assert recall >= 0.8, recall
 
@@ -146,10 +146,10 @@ def test_knn_join_matches_bounded_ivf(clustered_vectors):
     from pdf4py_ray.stages.similarity import knn_ivf, knn_join
 
     ivf = {(r["query_id"], r["neighbor_id"])
-           for r in knn_ivf(clustered_vectors, k=5, num_queries=4,
+           for r in knn_ivf(clustered_vectors, num_queries=4,
                             n_clusters=8, nprobe=3).take_all()}
     join = {(r["query_id"], r["neighbor_id"])
-            for r in knn_join(clustered_vectors, k=5, n_clusters=8,
+            for r in knn_join(clustered_vectors, n_clusters=8,
                               nprobe=3).take_all()
             if r["query_id"] < 4}
     assert join == ivf
@@ -161,7 +161,7 @@ def test_knn_join_every_vector_is_a_query(clustered_vectors):
     its own cluster (the data's cluster gap dominates)."""
     from pdf4py_ray.stages.similarity import knn_join
 
-    rows = knn_join(clustered_vectors, k=5, n_clusters=8, nprobe=3).take_all()
+    rows = knn_join(clustered_vectors, n_clusters=8, nprobe=3).take_all()
     by_query = {}
     for r in rows:
         assert r["query_id"] != r["neighbor_id"]
@@ -392,13 +392,13 @@ def test_hll_estimate_accuracy(ray_session):
         assert rel_err < 0.13, (k, est[k], exact[k])
 
 
-def test_dedup_clusters_distributed_matches_union_find(ray_session):
-    """pair_limit=0 forces the min-label-propagation path; it must
+def test_dedup_clusters_distributed_matches_union_find(ray_session, monkeypatch, spy):
+    """``_PAIR_LIMIT = 0`` forces the min-label-propagation path; it must
     produce exactly the union-find labeling on a multi-component graph
     (chain, triangle-with-tail, isolated nodes)."""
     import ray.data as rd
 
-    from pdf4py_ray.stages.dedup import dedup_clusters
+    from pdf4py_ray.stages import dedup as D
 
     docs = rd.from_items([{"doc_id": i, "text": ""} for i in range(12)])
     pairs = rd.from_items([
@@ -408,39 +408,48 @@ def test_dedup_clusters_distributed_matches_union_find(ray_session):
         {"id_a": 0, "id_b": 4}, {"id_a": 4, "id_b": 8}, {"id_a": 0, "id_b": 8},
         {"id_a": 8, "id_b": 10},
     ])
+    ran = spy(D, "distributed_components")
     want = {r["doc_id"]: (r["cluster_id"], r["is_representative"])
-            for r in dedup_clusters(docs, pairs).take_all()}
+            for r in D.dedup_clusters(docs, pairs).take_all()}
+    assert ran == []
+    monkeypatch.setattr(D, "_PAIR_LIMIT", 0)
     got = {r["doc_id"]: (r["cluster_id"], r["is_representative"])
-           for r in dedup_clusters(docs, pairs, pair_limit=0).take_all()}
+           for r in D.dedup_clusters(docs, pairs).take_all()}
+    assert len(ran) == 1  # the forced path ran
     assert got == want
     assert got[7] == (1, False) and got[10] == (0, False) and got[2] == (2, True)
 
 
-def test_distributed_components_chain_convergence(ray_session):
+def test_distributed_components_chain_convergence(ray_session, monkeypatch):
     """A 24-node path graph (worst-case diameter for its size) still
     converges and labels every node with the chain minimum."""
     import ray.data as rd
 
-    from pdf4py_ray.stages.dedup import distributed_components
+    from pdf4py_ray.stages import dedup as D
 
+    monkeypatch.setattr(D, "_COMPONENT_BUCKETS", 8)
     n = 24
     pairs = rd.from_items([{"id_a": i, "id_b": i + 1} for i in range(n - 1)])
     labels = {r["node"]: r["label"]
-              for r in distributed_components(pairs, num_buckets=8).take_all()}
+              for r in D.distributed_components(pairs).take_all()}
     assert labels == {i: 0 for i in range(n)}
 
 
-def test_dedup_clusters_distributed_on_real_pairs(ray_session):
+def test_dedup_clusters_distributed_on_real_pairs(ray_session, monkeypatch, spy):
     """The forced-distributed path hash-matches the driver path on the
     sf0.01 MinHash pair graph (the oracle-gated clustering input)."""
     from pdf4py_ray.sources.transcripts import read_table
-    from pdf4py_ray.stages.dedup import dedup_clusters, minhash_dup_pairs
+    from pdf4py_ray.stages import dedup as D
 
     docs = read_table("/root/testdata/sf0.01", "documents", ["doc_id", "text"])
-    pairs = minhash_dup_pairs(docs).materialize()
-    a = dedup_clusters(docs, pairs).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = (dedup_clusters(docs, pairs, pair_limit=0).to_pandas()
+    pairs = D.minhash_dup_pairs(docs).materialize()
+    ran = spy(D, "distributed_components")
+    a = D.dedup_clusters(docs, pairs).to_pandas().sort_values("doc_id").reset_index(drop=True)
+    assert ran == []
+    monkeypatch.setattr(D, "_PAIR_LIMIT", 0)
+    b = (D.dedup_clusters(docs, pairs).to_pandas()
          .sort_values("doc_id").reset_index(drop=True))
+    assert len(ran) == 1  # the forced path ran
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
 
 
@@ -480,17 +489,20 @@ def test_ngram_cap_exact_when_under_threshold(near_dup_docs):
     assert a == b and len(a) > 0
 
 
-def test_ngram_verify_joined_path_matches_broadcast(near_dup_docs):
-    """candidate_limit=0 forces the keyed hash_join fallback; it must
-    agree with the broadcast semi-join path pair for pair."""
-    from pdf4py_ray.stages.dedup import minhash_dup_pairs, ngram_jaccard_verify
+def test_ngram_verify_joined_path_matches_broadcast(near_dup_docs, monkeypatch, spy):
+    """``_CANDIDATE_LIMIT = 0`` forces the keyed hash_join fallback; it
+    must agree with the broadcast semi-join path pair for pair."""
+    from pdf4py_ray.stages import dedup as D
 
-    pairs = minhash_dup_pairs(near_dup_docs, threshold=0.5).materialize()
+    pairs = D.minhash_dup_pairs(near_dup_docs, threshold=0.5).materialize()
+    ran = spy(D, "_ngram_verify_joined")
     broad = {(r["id_a"], r["id_b"]): r["jaccard"]
-             for r in ngram_jaccard_verify(near_dup_docs, pairs).take_all()}
+             for r in D.ngram_jaccard_verify(near_dup_docs, pairs).take_all()}
+    assert ran == []
+    monkeypatch.setattr(D, "_CANDIDATE_LIMIT", 0)
     joined = {(r["id_a"], r["id_b"]): r["jaccard"]
-              for r in ngram_jaccard_verify(
-                  near_dup_docs, pairs, candidate_limit=0).take_all()}
+              for r in D.ngram_jaccard_verify(near_dup_docs, pairs).take_all()}
+    assert [a[-1] for a in ran] == [len(broad)]  # the forced path ran, on every pair
     assert broad == joined and len(joined) > 0
 
 

@@ -110,10 +110,10 @@ def test_hash_join_auto_buckets():
     assert _auto_buckets(10**12) == 4096         # ceiling
 
 
-def test_broadcast_guard_falls_back_to_hash_join(ray_session):
-    """join_auto with a tiny broadcast_limit must produce the same
-    rows through the hash_join path as through the broadcast path."""
-    from pdf4py_ray.stages.relational import join_auto
+def test_broadcast_guard_falls_back_to_hash_join(ray_session, monkeypatch, spy):
+    """join_auto with a tiny ``BROADCAST_ROW_LIMIT`` must produce the
+    same rows through the hash_join path as through the broadcast path."""
+    from pdf4py_ray.stages import relational as R
 
     left = pa.table({
         "l_key": pa.array([1, 2, 2, 3, 5], type=pa.int64()),
@@ -124,31 +124,44 @@ def test_broadcast_guard_falls_back_to_hash_join(ray_session):
         "r_val": pa.array([20, 30, 31, 40], type=pa.int64()),
     })
     results = []
-    for limit in (1_000_000, 1):  # broadcast path, then forced fallback
-        out = join_auto(
+    joins = spy(R, "hash_join")
+    for limit, n_joins in ((1_000_000, 0), (1, 1)):  # broadcast path, then forced fallback
+        monkeypatch.setattr(R, "BROADCAST_ROW_LIMIT", limit)
+        out = R.join_auto(
             _ds(ray_session, left), _ds(ray_session, right),
             "l_key", "r_key", left.schema, right.schema,
-            broadcast_limit=limit,
         ).to_pandas()
+        assert len(joins) == n_joins, limit  # the chosen path ran
         results.append(sorted(map(tuple, out[["l_key", "l_val", "r_val"]].itertuples(index=False))))
     assert results[0] == results[1]
     assert results[0] == sorted([(2, "b", 20), (2, "c", 20), (3, "d", 30), (3, "d", 31)])
 
 
-def test_guarded_queries_match_on_forced_fallback(ray_session):
+def test_guarded_queries_match_on_forced_fallback(ray_session, monkeypatch, spy):
     """The four guarded driver queries return identical results with
-    the broadcast path and with broadcast_limit=0 (hash_join path)."""
+    the broadcast path and with ``BROADCAST_ROW_LIMIT = 0`` (hash_join
+    path). The hash_join calls made while each plan is built show which
+    path ran: local_supplier_revenue joins lineitem ⨝ orders by
+    hash_join on both paths."""
     from pdf4py_ray.stages import relational as R
 
     sf = "/root/testdata/sf0.001"
-    for fn, sort_cols in [
-        (R.revenue_by_segment, ["c_mktsegment"]),
-        (R.customers_per_region, ["r_name"]),
-        (R.top_orders_per_segment, ["c_mktsegment", "rnk"]),
-        (R.local_supplier_revenue, ["n_name"]),
+    default = R.BROADCAST_ROW_LIMIT
+    joins = spy(R, "hash_join")
+    for fn, sort_cols, n_broadcast, n_forced in [
+        (R.revenue_by_segment, ["c_mktsegment"], 0, 1),
+        (R.customers_per_region, ["r_name"], 0, 2),
+        (R.top_orders_per_segment, ["c_mktsegment", "rnk"], 0, 1),
+        (R.local_supplier_revenue, ["n_name"], 1, 4),
     ]:
+        monkeypatch.setattr(R, "BROADCAST_ROW_LIMIT", default)
+        joins.clear()
         a = fn(sf).to_pandas().sort_values(sort_cols).reset_index(drop=True)
-        b = fn(sf, broadcast_limit=0).to_pandas().sort_values(sort_cols).reset_index(drop=True)
+        assert len(joins) == n_broadcast, fn.__name__
+        monkeypatch.setattr(R, "BROADCAST_ROW_LIMIT", 0)
+        joins.clear()
+        b = fn(sf).to_pandas().sort_values(sort_cols).reset_index(drop=True)
+        assert len(joins) == n_forced, fn.__name__  # the forced path ran
         pd.testing.assert_frame_equal(
             a[sorted(a.columns)], b[sorted(b.columns)], check_dtype=False
         )
@@ -185,34 +198,42 @@ def test_asof_join_tie_break_and_no_match(ray_session, tmp_path):
     assert got == [(1, 502), (2, 501)]
 
 
-def test_asof_and_range_join_time_salt_match(ray_session):
-    """time_salt>1 (epoch sub-bucketing + forward/window replication)
-    must be result-identical to the unsalted plan on real tables."""
-    from pdf4py_ray.stages.relational import (asof_join_events_orders,
-                                              range_join_orders_events)
+def _salted_joins(monkeypatch, spy, sf: str, salt: int) -> tuple:
+    """(as-of frame, range frame) with ``_TIME_SALT = salt``, and the
+    tables whose time bounds were read while the two plans were built
+    (only a salted plan reads them)."""
+    from pdf4py_ray.stages import relational as R
 
+    monkeypatch.setattr(R, "_TIME_SALT", salt)
+    bounds = spy(R, "_ts_minmax_us")
+    asof = (R.asof_join_events_orders(sf).to_pandas()
+            .sort_values("event_id").reset_index(drop=True))
+    rng = (R.range_join_orders_events(sf).to_pandas()
+           .sort_values("o_orderkey").reset_index(drop=True))
+    return asof, rng, [a[2] for a in bounds]
+
+
+def test_asof_and_range_join_time_salt_match(ray_session, monkeypatch, spy):
+    """``_TIME_SALT`` > 1 (epoch sub-bucketing + forward/window
+    replication) must be result-identical to the unsalted plan on real
+    tables."""
     sf = "/root/testdata/sf0.001"
-    a = asof_join_events_orders(sf).to_pandas().sort_values("event_id").reset_index(drop=True)
-    b = (asof_join_events_orders(sf, time_salt=4).to_pandas()
-         .sort_values("event_id").reset_index(drop=True))
+    a, r, read = _salted_joins(monkeypatch, spy, sf, 1)
+    assert read == []
+    b, s, read = _salted_joins(monkeypatch, spy, sf, 4)
+    assert read == ["events", "orders"] * 2  # the salted path ran for both joins
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
-
-    r = range_join_orders_events(sf).to_pandas().sort_values("o_orderkey").reset_index(drop=True)
-    s = (range_join_orders_events(sf, time_salt=4).to_pandas()
-         .sort_values("o_orderkey").reset_index(drop=True))
     pd.testing.assert_frame_equal(r, s[r.columns], check_dtype=False)
 
 
-def test_time_salt_bounds_hot_key(ray_session, tmp_path):
+def test_time_salt_bounds_hot_key(ray_session, tmp_path, monkeypatch, spy):
     """90%-one-user skew: the hot user's events spread across the S
     epoch sub-buckets (no sub-bucket holds them all), and the salted
     results still match the unsalted ones exactly."""
     import numpy as np
     import pyarrow.parquet as pq
 
-    from pdf4py_ray.stages.relational import (_epoch_of,
-                                              asof_join_events_orders,
-                                              range_join_orders_events)
+    from pdf4py_ray.stages.relational import _epoch_of
 
     n = 2000
     rng = np.random.default_rng(7)
@@ -233,14 +254,11 @@ def test_time_salt_bounds_hot_key(ray_session, tmp_path):
     sf = str(tmp_path)
 
     S = 8
-    a = asof_join_events_orders(sf).to_pandas().sort_values("event_id").reset_index(drop=True)
-    b = (asof_join_events_orders(sf, time_salt=S).to_pandas()
-         .sort_values("event_id").reset_index(drop=True))
+    a, r, read = _salted_joins(monkeypatch, spy, sf, 1)
+    assert read == []
+    b, s, read = _salted_joins(monkeypatch, spy, sf, S)
+    assert read == ["events", "orders"] * 2  # the salted path ran for both joins
     pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
-
-    r = range_join_orders_events(sf).to_pandas().sort_values("o_orderkey").reset_index(drop=True)
-    s = (range_join_orders_events(sf, time_salt=S).to_pandas()
-         .sort_values("o_orderkey").reset_index(drop=True))
     pd.testing.assert_frame_equal(r, s[r.columns], check_dtype=False)
 
     # replicate the epoch assignment: the hot user's ~1800 events must
@@ -429,7 +447,7 @@ def test_top_orders_end_to_end(ray_session):
     from pdf4py_ray.stages.relational import _cents, top_orders
 
     sf = "/root/testdata/sf0.001"
-    got = top_orders(sf, k=10).to_pandas()
+    got = top_orders(sf).to_pandas()
 
     ds = read_table(sf, "orders", columns=["o_orderkey", "o_totalprice"])
 
@@ -471,15 +489,20 @@ def dangling_sf(tmp_path):
     return str(tmp_path)
 
 
-def test_broadcast_lookups_drop_dangling_keys(ray_session, dangling_sf):
+def test_broadcast_lookups_drop_dangling_keys(ray_session, dangling_sf, monkeypatch, spy):
     """A key missing from a broadcast dimension drops its row, as the
     shuffle-join fallback's inner joins do; it never borrows the
     neighbouring entry."""
     from pdf4py_ray.stages import relational as R
 
-    for limit in (R.BROADCAST_ROW_LIMIT, 0):
-        got = R.customers_per_region(dangling_sf, broadcast_limit=limit).to_pandas()
+    joins = spy(R, "hash_join")
+    # broadcast: only lineitem ⨝ orders is a hash_join; forced: 2 + 4
+    for limit, n_joins in ((R.BROADCAST_ROW_LIMIT, 1), (0, 6)):
+        monkeypatch.setattr(R, "BROADCAST_ROW_LIMIT", limit)
+        joins.clear()
+        got = R.customers_per_region(dangling_sf).to_pandas()
         assert dict(zip(got["r_name"], got["n_customers"])) == {"EAST": 1, "WEST": 2}, limit
-        got = R.local_supplier_revenue(dangling_sf, broadcast_limit=limit).to_pandas()
+        got = R.local_supplier_revenue(dangling_sf).to_pandas()
         assert dict(zip(got["n_name"], got["revenue_cents"])) == {
             "N0": 100000, "N1": 18000, "N2": 5000}, limit
+        assert len(joins) == n_joins, limit  # the chosen path ran

@@ -257,13 +257,13 @@ def test_cached_get_memoizes_none(monkeypatch):
 
 
 def test_simhash_runs_no_actor_pool(ray_session):
-    """SimHash fingerprints run as a task stage with no default
-    concurrency: a (2, 8) actor pool stalls at 2 logical CPUs."""
+    """SimHash fingerprints run as a task stage with no concurrency
+    cap: a (2, 8) actor pool stalls at 2 logical CPUs."""
     import ray.data as rd
 
     from pdf4py_ray.stages.dedup import simhash_candidates
 
-    assert inspect.signature(simhash_candidates).parameters["concurrency"].default is None
+    assert "concurrency" not in inspect.signature(simhash_candidates).parameters
     docs = rd.from_arrow(pa.table({"doc_id": [1, 2], "text": ["a b c d e"] * 2}))
     ds = simhash_candidates(docs)
     assert ("MapBatches(simhash64)", False) in _map_ops(ds)

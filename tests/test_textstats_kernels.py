@@ -86,7 +86,7 @@ def test_rolling_min_fingerprint_matches_scalar():
             for _ in range(300)]
     flat = np.array([h for d in docs for h in d], dtype=np.uint64)
     offsets = np.cumsum([0] + [len(d) for d in docs])
-    out = rolling_min_fingerprint(flat, np.asarray(offsets), FP_BASE, k=5)
+    out = rolling_min_fingerprint(flat, np.asarray(offsets), FP_BASE)
     for i, d in enumerate(docs):
         if len(d) >= 5:
             assert int(out[i]) == scalar_fp(d)
