@@ -58,15 +58,9 @@ def _ship_package_by_value() -> None:
 
 _ship_package_by_value()
 
+from pdf4py_ray.sources.transcripts import table_rows  # noqa: E402 (needs the path above)
+
 SF_SMOKE = "/root/testdata/sf0.001"
-
-
-def _table_rows(sf_dir: str, table: str) -> int:
-    """Row count from parquet footer metadata — free (no data read);
-    used as the ``rows_hint`` that sizes/skips pre-groupby exchanges."""
-    import pyarrow.parquet as pq
-
-    return pq.read_metadata(os.path.join(sf_dir, f"{table}.parquet")).num_rows
 
 
 def entry() -> Any:
@@ -101,6 +95,7 @@ def _extract_spans(sf_dir: str):
     span_idx, start, end, kind) — golden-parquet value gate."""
     import numpy as np
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     from pdf4py_ray.pipelines.extract_pipeline import extraction_dataset, synth_source
 
@@ -109,25 +104,18 @@ def _extract_spans(sf_dir: str):
     ds = extraction_dataset(synth_source(sf_dir))
 
     def flatten(batch: pa.Table) -> pa.Table:
-        rows = {"conv_id": [], "turn_idx": [], "span_idx": [],
-                "start": [], "end": [], "kind": []}
-        for conv, idx, spans in zip(batch["conv_id"].to_pylist(),
-                                    batch["turn_idx"].to_pylist(),
-                                    batch["spans"].to_pylist()):
-            for si, sp in enumerate(spans or []):
-                rows["conv_id"].append(conv)
-                rows["turn_idx"].append(idx)
-                rows["span_idx"].append(si)
-                rows["start"].append(sp["start"])
-                rows["end"].append(sp["end"])
-                rows["kind"].append(sp["kind"])
+        spans = batch["spans"].combine_chunks()
+        rows = pc.list_parent_indices(spans)
+        flat = pc.list_flatten(spans)
+        lengths = pc.list_value_length(spans).fill_null(0).to_numpy()
+        first = np.cumsum(lengths) - lengths  # each row's offset into `flat`
         return pa.table({
-            "conv_id": pa.array(rows["conv_id"], type=pa.string()),
-            "turn_idx": pa.array(rows["turn_idx"], type=pa.int32()),
-            "span_idx": pa.array(rows["span_idx"], type=pa.int32()),
-            "start": pa.array(rows["start"], type=pa.int32()),
-            "end": pa.array(rows["end"], type=pa.int32()),
-            "kind": pa.array(rows["kind"], type=pa.string()),
+            "conv_id": batch["conv_id"].take(rows).cast(pa.string()),
+            "turn_idx": batch["turn_idx"].take(rows).cast(pa.int32()),
+            "span_idx": pa.array(np.arange(len(flat)) - first[rows.to_numpy()], pa.int32()),
+            "start": flat.field("start"),
+            "end": flat.field("end"),
+            "kind": flat.field("kind"),
         })
 
     return ds.select_columns(["conv_id", "turn_idx", "spans"]).map_batches(
@@ -193,7 +181,7 @@ def _dedup_clusters(sf_dir: str):
     from pdf4py_ray.stages.dedup import dedup_clusters, minhash_dup_pairs
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
-    n_docs = _table_rows(sf_dir, "documents")
+    n_docs = table_rows(sf_dir, "documents")
     return dedup_clusters(docs, minhash_dup_pairs(docs, rows_hint=n_docs))
 
 
@@ -202,7 +190,7 @@ def _cluster_best(sf_dir: str):
     from pdf4py_ray.stages.dedup import cluster_best, minhash_dup_pairs
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
-    n_docs = _table_rows(sf_dir, "documents")
+    n_docs = table_rows(sf_dir, "documents")
     return cluster_best(docs, minhash_dup_pairs(docs, rows_hint=n_docs),
                         rows_hint=2 * n_docs)
 
@@ -230,7 +218,7 @@ def _minhash_pairs(sf_dir: str):
     from pdf4py_ray.stages.dedup import minhash_dup_pairs
 
     return minhash_dup_pairs(read_table(sf_dir, "documents", ["doc_id", "text"]),
-                             rows_hint=_table_rows(sf_dir, "documents"))
+                             rows_hint=table_rows(sf_dir, "documents"))
 
 
 def _simhash_pairs(sf_dir: str):
@@ -238,7 +226,7 @@ def _simhash_pairs(sf_dir: str):
     from pdf4py_ray.stages.dedup import simhash_candidates
 
     return simhash_candidates(read_table(sf_dir, "documents", ["doc_id", "text"]),
-                              rows_hint=_table_rows(sf_dir, "documents"))
+                              rows_hint=table_rows(sf_dir, "documents"))
 
 
 def _ngram_jaccard(sf_dir: str):
@@ -248,7 +236,7 @@ def _ngram_jaccard(sf_dir: str):
     return ngram_jaccard_pairs(
         read_table(sf_dir, "documents", ["doc_id", "text"]),
         threshold=0.5, id_limit=256,
-        rows_hint=min(256, _table_rows(sf_dir, "documents")),
+        rows_hint=min(256, table_rows(sf_dir, "documents")),
     )
 
 
@@ -257,7 +245,7 @@ def _ngram_verify(sf_dir: str):
     from pdf4py_ray.stages.dedup import minhash_dup_pairs, ngram_jaccard_verify
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
-    pairs = minhash_dup_pairs(docs, rows_hint=_table_rows(sf_dir, "documents"))
+    pairs = minhash_dup_pairs(docs, rows_hint=table_rows(sf_dir, "documents"))
     return ngram_jaccard_verify(docs, pairs).select_columns(["id_a", "id_b"])
 
 
@@ -303,7 +291,7 @@ def _top_words(sf_dir: str):
     from pdf4py_ray.stages.textstats import top_words
 
     return top_words(read_table(sf_dir, "documents", ["text"]),
-                     rows_hint=_table_rows(sf_dir, "documents"))
+                     rows_hint=table_rows(sf_dir, "documents"))
 
 
 def _len_quantiles(sf_dir: str):
@@ -311,7 +299,7 @@ def _len_quantiles(sf_dir: str):
     from pdf4py_ray.stages.textstats import doc_len_quantiles
 
     return doc_len_quantiles(read_table(sf_dir, "documents", ["text"]),
-                             rows_hint=_table_rows(sf_dir, "documents"))
+                             rows_hint=table_rows(sf_dir, "documents"))
 
 
 def _stratified_sample(sf_dir: str):
@@ -327,7 +315,7 @@ def _seq_pack(sf_dir: str):
     from pdf4py_ray.stages.textstats import seq_pack
 
     return seq_pack(read_table(sf_dir, "documents", ["doc_id", "text"]),
-                    rows_hint=_table_rows(sf_dir, "documents"))
+                    rows_hint=table_rows(sf_dir, "documents"))
 
 
 def _train_test_split(sf_dir: str):

@@ -29,7 +29,3 @@ class PdfWrongPasswordError(PdfError):
 
 class PdfDataError(PdfError):
     """Malformed payload data inside an otherwise well-formed structure."""
-
-
-class HtmlExtractError(PdfError):
-    """Raised when HTML main-content extraction cannot proceed."""

@@ -1,4 +1,4 @@
-"""HTML main-content extraction via DOM heuristics.
+"""HTML main-content extraction via element-tree heuristics.
 
 New capability (BASELINE.json ``north_star``; the reference has no
 HTML handling at all). Stdlib-only; candidate scoring uses text
@@ -21,9 +21,11 @@ Extraction policy (our spec, pinned by golden tests):
 - spans (character offsets into the final text) are emitted per
   output line with kind ``line``.
 
-Two implementations give the same ``(text, spans)``:
+One scorer (:func:`_score`) applies the policy in one pass over a
+token stream, and two tokenizers feed it the same tuples (text, start
+tag, start-end tag, end tag, then ``_EOF``):
 
-- **The one-pass scanner** (:func:`_scan`) is tried first. One
+- **The regex tokenizer** (:func:`_scan`) is tried first. One
   compiled regex tokenizes the page (``findall``) and accepts a strict
   grammar and nothing else: text without ``<`` (passed through
   ``html.unescape`` when it holds ``&``); start tags with quoted or
@@ -31,23 +33,24 @@ Two implementations give the same ``(text, spans)``:
   ``<!-- -->`` comments and ``<!doctype>``; ``script``/``style`` raw
   text up to its end tag, as ``html.parser`` finds it. A catch-all
   group takes the rest of the page at the first token outside the
-  grammar, so tokenizing stops there. It keeps the
-  open-element stack by the DOM builder's rules (void and
-  self-closing tags are not pushed, an end tag pops to the nearest
-  open match, a stray end tag is ignored, depth is the stack height)
-  and scores each candidate while the tokens stream past: a text
-  chunk's collapsed length counts toward every open candidate, as
-  link text only under an ``a`` opened inside that candidate, and not
-  at all while a blacklisted element is open. Only the winner's
-  range of recorded events is rendered.
-- **The DOM path** (:func:`_extract_dom`): ``html.parser`` builds a
-  tolerant ``_Node`` tree, which is measured, searched for candidates
-  and rendered. It takes any document the scanner's grammar rejects
+  grammar, and such a page goes to the other tokenizer.
+- **The ``html.parser`` tokenizer** (:func:`_parse`) takes any page
   (a bare ``<``, ``<?pi>``, ``<![CDATA[``, a bogus comment, an
-  unclosed ``script``, unusual attribute syntax...), and the tests
-  use it as the scanner's reference. Its traversals use explicit
-  stacks, not recursion, so nesting depth is bounded by memory, not
-  by the interpreter's recursion limit.
+  unclosed ``script``, unusual attribute syntax...). Its data arrives
+  with character references already decoded, so the scorer's decode
+  step is the identity for it.
+
+The scorer keeps the open-element stack by the tolerant tree rules
+(void and self-closing tags are not pushed, an end tag pops to the
+nearest open match, a stray end tag is ignored, depth is the stack
+height) and scores each candidate while the tokens stream past: a text
+chunk's collapsed length counts toward every open candidate, as link
+text only under an ``a`` opened inside that candidate, and not at all
+while a blacklisted element is open. Only the winner's range of
+recorded events is rendered. The stack is a list, so nesting depth is
+bounded by memory, not by the interpreter's recursion limit. The tests
+keep an ``html.parser`` element tree as the reference for both
+tokenizers.
 """
 
 from __future__ import annotations
@@ -101,11 +104,11 @@ def extract_html_text(html: str) -> Tuple[str, List[Span]]:
     """Main-content text + line spans from an HTML document."""
     lines = _scan(html)
     if lines is None:
-        lines = _extract_dom(html)
+        lines = _parse(html)
     return _finish(lines)
 
 
-# ------------------------------------------------------------ the scanner
+# ------------------------------------------- the tokenizers and the scorer
 
 _BLOCK, _BLACK, _CAND, _LINK, _VOID = 1, 2, 4, 8, 16
 _FLAGS: dict = {}
@@ -138,8 +141,48 @@ _EOF = ("", "", "", "", "#eof", "")  # closes every open element
 
 
 def _scan(html: str) -> Optional[List[Tuple[str, int]]]:
-    """The winner's rendered ``(line, link_chars)`` lines in one pass,
-    or ``None`` when ``html`` leaves the scanner's grammar."""
+    """The winner's lines through the regex tokenizer, or ``None`` when
+    ``html`` leaves its grammar."""
+    tokens = _TOKEN_RE.findall(html)
+    if tokens and tokens[-1][5]:  # only the catch-all group can end a page
+        return None
+    return _score(tokens, unescape)
+
+
+class _Tokens(HTMLParser):
+    """``html.parser``'s events as scanner tokens; data goes in the
+    second slot, measured as decoded text."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.tokens: list = []
+
+    def handle_starttag(self, tag, attrs):
+        self.tokens.append(("", "", tag, "", "", ""))
+
+    def handle_startendtag(self, tag, attrs):
+        self.tokens.append(("", "", tag, "/", "", ""))
+
+    def handle_endtag(self, tag):
+        self.tokens.append(("", "", "", "", tag, ""))
+
+    def handle_data(self, data):
+        if data:
+            self.tokens.append(("", data, "", "", "", ""))
+
+
+def _parse(html: str) -> List[Tuple[str, int]]:
+    """The winner's lines through ``html.parser``'s tokens: any page."""
+    parser = _Tokens()
+    parser.feed(html)
+    parser.close()
+    return _score(parser.tokens, str)  # character references already decoded
+
+
+def _score(tokens: list, decode) -> List[Tuple[str, int]]:
+    """The winner's rendered ``(line, link_chars)`` lines in one pass
+    over ``tokens``; ``decode`` turns a text token holding ``&`` into
+    the text it stands for."""
     flags_of = _FLAGS.get
     tags = ["#root"]  # open elements; slot 0 is the root, depth = slot
     flags = [0]
@@ -151,16 +194,15 @@ def _scan(html: str) -> Optional[List[Tuple[str, int]]]:
     total = 0  # collapsed text length seen outside blacklisted elements
     order = 0
     best = None  # ((score, depth, -order), first event, end event, slot)
-    tokens = _TOKEN_RE.findall(html)
     tokens.append(_EOF)
-    for text, other, name, slash, end_name, bad in tokens:
+    for text, other, name, slash, end_name, _ in tokens:
         if text or other:
             if blocked:
                 continue
             if text:
                 c = len(" ".join(text.split()))
             else:
-                text = unescape(other) if "&" in other else other
+                text = decode(other) if "&" in other else other
                 c = _collapsed_len(text)
             events.append(text)
             total += c
@@ -202,8 +244,6 @@ def _scan(html: str) -> Optional[List[Tuple[str, int]]]:
             tags.append(name)
             flags.append(f)
             continue
-        if bad:
-            return None
         if not end_name:
             continue  # comment, doctype or raw-text element
         if end_name == "#eof":
@@ -252,129 +292,6 @@ def _scan(html: str) -> Optional[List[Tuple[str, int]]]:
             buf = []
             link_chars = 0
     return lines
-
-
-# ----------------------------------------------------------- the DOM path
-
-
-class _Node:
-    __slots__ = ("tag", "children", "depth")
-
-    def __init__(self, tag: str, depth: int) -> None:
-        self.tag = tag
-        self.children: list = []  # _Node | str
-        self.depth = depth
-
-
-class _DomBuilder(HTMLParser):
-    """Tolerant DOM builder: unmatched end tags are ignored; unclosed
-    tags are implicitly closed when an ancestor closes."""
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.root = _Node("#root", 0)
-        self.stack = [self.root]
-
-    def handle_starttag(self, tag, attrs):
-        node = _Node(tag, len(self.stack))
-        self.stack[-1].children.append(node)
-        if tag not in VOID_TAGS:
-            self.stack.append(node)
-
-    def handle_startendtag(self, tag, attrs):
-        self.stack[-1].children.append(_Node(tag, len(self.stack)))
-
-    def handle_endtag(self, tag):
-        for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].tag == tag:
-                del self.stack[i:]
-                return
-        # stray end tag: ignore
-
-    def handle_data(self, data):
-        if data:
-            self.stack[-1].children.append(data)
-
-
-def _measure(root: _Node) -> Tuple[list, dict]:
-    """The candidates under ``root`` in document order, skipping
-    blacklisted subtrees, and ``{id(node): (total_chars, link_chars)}``
-    for every node: text under the node, and the part of it under an
-    ``a`` below the node. Whitespace runs count as one char."""
-    cands: list = []
-    sums: dict = {}
-    stack = [(root, False)]  # (node, children done)
-    while stack:
-        node, done = stack.pop()
-        if not done:
-            stack.append((node, True))
-            for child in reversed(node.children):
-                if isinstance(child, _Node) and child.tag not in BLACKLIST:
-                    stack.append((child, False))
-            if node.tag in CANDIDATE_TAGS:
-                cands.append(node)
-            continue
-        total = link = 0
-        for child in node.children:
-            if isinstance(child, str):
-                total += _collapsed_len(child)
-            elif child.tag not in BLACKLIST:
-                t, l = sums[id(child)]
-                total += t
-                link += t if child.tag == "a" else l
-        sums[id(node)] = (total, link)
-    return cands, sums
-
-
-def _render(node: _Node) -> List[Tuple[str, int]]:
-    """Render a subtree to lines of (text, link_char_count)."""
-    lines: List[Tuple[str, int]] = []
-    buf: List[str] = []
-    link_chars = 0
-
-    def flush() -> None:
-        nonlocal buf, link_chars
-        text = _WS_RE.sub(" ", "".join(buf)).strip()
-        if text:
-            lines.append((text, link_chars))
-        buf = []
-        link_chars = 0
-
-    stack = [(iter(node.children), False, False)]  # (children, in_link, is_block)
-    while stack:
-        children, in_link, is_block = stack[-1]
-        child = next(children, None)
-        if child is None:
-            stack.pop()
-            if is_block:
-                flush()
-        elif isinstance(child, str):
-            buf.append(child)
-            if in_link:
-                link_chars += _collapsed_len(child)
-        elif child.tag not in BLACKLIST:
-            block = child.tag in BLOCK_TAGS
-            if block:
-                flush()
-            stack.append((iter(child.children), in_link or child.tag == "a", block))
-    flush()
-    return lines
-
-
-def _extract_dom(html: str) -> List[Tuple[str, int]]:
-    """The winner's rendered lines through ``html.parser``'s DOM."""
-    builder = _DomBuilder()
-    builder.feed(html)
-    builder.close()
-    root = builder.root
-    candidates, sums = _measure(root)
-    best, best_key = root, None
-    for node in candidates:
-        total, link = sums[id(node)]
-        key = (total - 2 * link, node.depth)  # deepest wins among equal scores
-        if best_key is None or key > best_key:
-            best, best_key = node, key
-    return _render(best)
 
 
 _HTML_SNIFF_RE = re.compile(

@@ -220,16 +220,6 @@ class Tokenizer:
             raise PdfLexError("goto/back stack is empty")
         self.pos, self.pending = self._stack.pop()
 
-    def at_eof(self) -> bool:
-        if self.pending:
-            return False
-        m = _SKIP_RE.match(self.buf, self.pos)
-        p = m.end()
-        if p >= self.n:
-            return True
-        # a trailing comment with no final newline also exhausts input
-        return bool(_TRAILING_COMMENT_RE.match(self.buf, p))
-
     def find_last_line(self, keyword: bytes) -> int:
         """Position of the last *line* that exactly equals ``keyword``.
 

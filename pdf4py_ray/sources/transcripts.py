@@ -259,6 +259,14 @@ def synth_transcripts(sf_dir: str, ray_data=True, repeat: int = 1):
     return pa.Table.from_pylist(rows, schema=TURN_SCHEMA)
 
 
+def table_rows(sf_dir: str, name: str) -> int:
+    """Row count of one of the driver tables, from its Parquet footer
+    (no data read): the ``rows_hint`` that sizes or skips exchanges."""
+    import pyarrow.parquet as pq
+
+    return pq.read_metadata(f"{sf_dir}/{name}.parquet").num_rows
+
+
 def read_table(sf_dir: str, name: str, columns=None):
     """Column-pruned scan of one of the driver tables."""
     import ray.data as rd

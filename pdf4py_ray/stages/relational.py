@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 
 from ..functions.broadcast import sorted_lookup
 from ..functions.hashing import bucket_of
-from ..sources.transcripts import read_table
+from ..sources.transcripts import read_table, table_rows
 
 
 def _cents(arr) -> pa.Array:
@@ -419,7 +419,7 @@ def customer_order_counts(sf_dir: str):
     )
     c_schema = _projected_schema(sf_dir, "customer", ["c_custkey"])
     o_schema = _projected_schema(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    rows = _table_rows(sf_dir, "customer") + _table_rows(sf_dir, "orders")
+    rows = table_rows(sf_dir, "customer") + table_rows(sf_dir, "orders")
     j = hash_join(cust, orders, on="c_custkey", right_on="o_custkey",
                   left_schema=c_schema, right_schema=o_schema,
                   rows_hint=rows, salt=1, how="left")
@@ -455,7 +455,7 @@ def _customers_orders_exists(sf_dir: str, how: str):
     )
     c_schema = _projected_schema(sf_dir, "customer", ["c_custkey"])
     o_schema = _projected_schema(sf_dir, "orders", ["o_custkey"])
-    rows = _table_rows(sf_dir, "customer") + _table_rows(sf_dir, "orders")
+    rows = table_rows(sf_dir, "customer") + table_rows(sf_dir, "orders")
     return hash_join(cust, orders, on="c_custkey", right_on="o_custkey",
                      left_schema=c_schema, right_schema=o_schema,
                      rows_hint=rows, salt=1, how=how)
@@ -753,12 +753,12 @@ def local_supplier_revenue(sf_dir: str):
     # a dim outgrew the guard: chain bucket-shuffle joins instead —
     # bucket sizing from parquet-footer counts (lineitem rows bound the
     # joined cardinality), never a count() of the derived left side
-    line_rows = _table_rows(sf_dir, "lineitem")
+    line_rows = table_rows(sf_dir, "lineitem")
     j2 = join_auto(joined, cust, "o_custkey", "c_custkey", lo_schema, c_schema,
-                   rows_hint=line_rows + _table_rows(sf_dir, "customer"), salt=1)
+                   rows_hint=line_rows + table_rows(sf_dir, "customer"), salt=1)
     j3 = join_auto(j2, supp, "l_suppkey", "s_suppkey",
                    pa.schema(list(lo_schema) + list(c_schema)), s_schema,
-                   rows_hint=line_rows + _table_rows(sf_dir, "supplier"), salt=1)
+                   rows_hint=line_rows + table_rows(sf_dir, "supplier"), salt=1)
 
     nat_type = n_schema.field("n_nationkey").type
 
@@ -921,7 +921,7 @@ def users_per_event_type(sf_dir: str):
 
     return (
         ds.map_batches(local_dedupe, batch_format="pandas")
-        .repartition(_shuffle_parts(_KEY_BUCKETS, _table_rows(sf_dir, "events")))
+        .repartition(_shuffle_parts(_KEY_BUCKETS, table_rows(sf_dir, "events")))
         .groupby("bucket")
         .map_groups(count_bucket, batch_format="pandas")
         .groupby("event_type")
@@ -963,7 +963,7 @@ def event_gaps(sf_dir: str):
 
     return (
         ds.map_batches(_add_user_bucket, batch_format="pyarrow")
-        .repartition(_shuffle_parts(_KEY_BUCKETS, _table_rows(sf_dir, "events")))
+        .repartition(_shuffle_parts(_KEY_BUCKETS, table_rows(sf_dir, "events")))
         .groupby("bucket")
         .map_groups(gaps_bucket, batch_format="pandas")
     )
@@ -990,17 +990,10 @@ def user_sessions(sf_dir: str):
 
     return (
         ds.map_batches(_add_user_bucket, batch_format="pyarrow")
-        .repartition(_shuffle_parts(_KEY_BUCKETS, _table_rows(sf_dir, "events")))
+        .repartition(_shuffle_parts(_KEY_BUCKETS, table_rows(sf_dir, "events")))
         .groupby("bucket")
         .map_groups(sessions_bucket, batch_format="pandas")
     )
-
-
-def _table_rows(sf_dir: str, table: str) -> int:
-    """Row count straight from parquet footer metadata — zero data read."""
-    import pyarrow.parquet as pq
-
-    return pq.ParquetFile(f"{sf_dir}/{table}.parquet").metadata.num_rows
 
 
 def _ts_minmax_us(ds, sf_dir: str, table: str, col: str) -> tuple:
@@ -1086,7 +1079,7 @@ def asof_join_events_orders(sf_dir: str):
     duplicated, so no re-aggregation pass is needed."""
     events = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    rows_hint = _table_rows(sf_dir, "events") + _table_rows(sf_dir, "orders")
+    rows_hint = table_rows(sf_dir, "events") + table_rows(sf_dir, "orders")
     num_buckets = _auto_buckets(rows_hint)
     S = _TIME_SALT
     lo, hi = _time_bounds(events, orders, sf_dir, S)
@@ -1180,7 +1173,7 @@ def range_join_orders_events(sf_dir: str):
 
     events = read_table(sf_dir, "events", columns=["user_id", "ts"])
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    rows_hint = _table_rows(sf_dir, "events") + _table_rows(sf_dir, "orders")
+    rows_hint = table_rows(sf_dir, "events") + table_rows(sf_dir, "orders")
     num_buckets = _auto_buckets(rows_hint)
     S = _TIME_SALT
     lo, hi = _time_bounds(events, orders, sf_dir, S)

@@ -5,6 +5,7 @@ object, decode every stream, check versions / page counts / xref
 chains."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,6 +16,8 @@ from pdf4py_ray.kernel import pdfgen
 from pdf4py_ray.kernel.document import PdfDocument
 from pdf4py_ray.kernel.errors import PdfSyntaxError
 from pdf4py_ray.kernel.model import LiteralString, Ref, Stream
+from pdf4py_ray.kernel.text import extract_document_text
+from pdf4py_ray.sources.transcripts import PDF_VARIANTS, make_doc_pdf
 
 
 def walk_all(doc: PdfDocument) -> int:
@@ -277,3 +280,63 @@ def test_cyclic_xref_chain_is_an_error_row(make_pdf, message):
     assert (kind, status) == ("pdf", "error")
     assert error.startswith(message)
 
+
+
+# ------------------------------------------------ the classic xref table's token loop
+# ``_parse_xref_table`` slices strictly fixed-width record blocks
+# (``_xref_records_fast``) and tokenizes any other block record by record.
+# Every generated table is fixed-width, so these tests force the loop.
+
+
+def _classic_table_fixtures() -> dict:
+    makers = {f"pdfgen:{name}": make for name, make in ALL_FIXTURES.items()}
+    makers.update({"pdfgen:tounicode": pdfgen.tounicode_pdf,
+                   "pdfgen:multiline": pdfgen.multiline_pdf,
+                   "pdfgen:pagetree_nested": pdfgen.pagetree_nested_pdf})
+    for variant in PDF_VARIANTS:
+        makers[f"doc:{variant}"] = lambda v=variant: make_doc_pdf("token loop text", v)
+    fixtures = {name: make() for name, make in makers.items()}
+    return {name: data for name, data in fixtures.items()
+            if re.search(rb"[\r\n]xref[\r\n]", data)}
+
+
+def _index(data: bytes):
+    doc = PdfDocument(data)
+    return doc.xref.sections, doc.trailer, extract_document_text(doc)
+
+
+def test_xref_token_loop_equals_fixed_width_slices(monkeypatch):
+    fixtures = _classic_table_fixtures()
+    assert len(fixtures) >= 10
+    sliced = {name: _index(data) for name, data in fixtures.items()}
+    blocks = []
+
+    def refuse(self, start, count):
+        blocks.append(count)
+        return None  # as for a block that is not strictly fixed-width
+
+    monkeypatch.setattr(PdfDocument, "_xref_records_fast", refuse)
+    for name, data in fixtures.items():
+        blocks.clear()
+        assert _index(data) == sliced[name], name
+        assert blocks, f"{name}: no record block went through the token loop"
+
+
+def test_xref_19_byte_records_index_like_20_byte_records(monkeypatch):
+    twenty = pdfgen.minimal_pdf(("nineteen", "byte records"))
+    at = twenty.rindex(b"\nxref\n")
+    end = twenty.index(b"trailer", at)
+    table = twenty[at:end].replace(b" n \n", b" n\n").replace(b" f \n", b" f\n")
+    # the table follows every object, so no offset moves
+    nineteen = twenty[:at] + table + twenty[end:]
+    assert len(nineteen) < len(twenty)
+    real = PdfDocument._xref_records_fast
+    sliced = []
+
+    def spy(self, start, count):
+        sliced.append(real(self, start, count))
+        return sliced[-1]
+
+    monkeypatch.setattr(PdfDocument, "_xref_records_fast", spy)
+    assert _index(nineteen) == _index(twenty)
+    assert sliced[0] is None and sliced[1] is not None  # only the loop takes 19-byte records

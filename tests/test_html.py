@@ -1,14 +1,25 @@
-"""HTML main-content extraction goldens (FIXTURES §3), and the
-one-pass scanner pinned to the ``html.parser`` DOM path."""
+"""HTML main-content extraction goldens (FIXTURES §3), and both of
+the scorer's tokenizers pinned to an ``html.parser`` element tree."""
 
 import sys
+from html.parser import HTMLParser
+from typing import List, Tuple
 
 import pyarrow as pa
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdf4py_ray.kernel import html_extract
-from pdf4py_ray.kernel.html_extract import extract_html_text, looks_like_html
+from pdf4py_ray.kernel.html_extract import (
+    BLACKLIST,
+    BLOCK_TAGS,
+    CANDIDATE_TAGS,
+    VOID_TAGS,
+    _WS_RE,
+    _collapsed_len,
+    extract_html_text,
+    looks_like_html,
+)
 from pdf4py_ray.sources.transcripts import make_doc_html
 
 ARTICLE_SIMPLE = """<!DOCTYPE html>
@@ -106,18 +117,144 @@ def test_sniffer():
     assert not looks_like_html("%PDF-1.4 binary")
 
 
-# ------------------------------------------------ scanner against the DOM path
+# ------------------------------------------------ the oracle: an element tree
+# The extraction policy applied to a whole html.parser element tree: the
+# reference both of the scorer's tokenizers are pinned to. Its traversals
+# use explicit stacks, so a deep page is text here too.
+
+
+class _Node:
+    __slots__ = ("tag", "children", "depth")
+
+    def __init__(self, tag: str, depth: int) -> None:
+        self.tag = tag
+        self.children: list = []  # _Node | str
+        self.depth = depth
+
+
+class _DomBuilder(HTMLParser):
+    """Tolerant DOM builder: unmatched end tags are ignored; unclosed
+    tags are implicitly closed when an ancestor closes."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.root = _Node("#root", 0)
+        self.stack = [self.root]
+
+    def handle_starttag(self, tag, attrs):
+        node = _Node(tag, len(self.stack))
+        self.stack[-1].children.append(node)
+        if tag not in VOID_TAGS:
+            self.stack.append(node)
+
+    def handle_startendtag(self, tag, attrs):
+        self.stack[-1].children.append(_Node(tag, len(self.stack)))
+
+    def handle_endtag(self, tag):
+        for i in range(len(self.stack) - 1, 0, -1):
+            if self.stack[i].tag == tag:
+                del self.stack[i:]
+                return
+        # stray end tag: ignore
+
+    def handle_data(self, data):
+        if data:
+            self.stack[-1].children.append(data)
+
+
+def _measure(root: _Node) -> Tuple[list, dict]:
+    """The candidates under ``root`` in document order, skipping
+    blacklisted subtrees, and ``{id(node): (total_chars, link_chars)}``
+    for every node: text under the node, and the part of it under an
+    ``a`` below the node. Whitespace runs count as one char."""
+    cands: list = []
+    sums: dict = {}
+    stack = [(root, False)]  # (node, children done)
+    while stack:
+        node, done = stack.pop()
+        if not done:
+            stack.append((node, True))
+            for child in reversed(node.children):
+                if isinstance(child, _Node) and child.tag not in BLACKLIST:
+                    stack.append((child, False))
+            if node.tag in CANDIDATE_TAGS:
+                cands.append(node)
+            continue
+        total = link = 0
+        for child in node.children:
+            if isinstance(child, str):
+                total += _collapsed_len(child)
+            elif child.tag not in BLACKLIST:
+                t, l = sums[id(child)]
+                total += t
+                link += t if child.tag == "a" else l
+        sums[id(node)] = (total, link)
+    return cands, sums
+
+
+def _render(node: _Node) -> List[Tuple[str, int]]:
+    """Render a subtree to lines of (text, link_char_count)."""
+    lines: List[Tuple[str, int]] = []
+    buf: List[str] = []
+    link_chars = 0
+
+    def flush() -> None:
+        nonlocal buf, link_chars
+        text = _WS_RE.sub(" ", "".join(buf)).strip()
+        if text:
+            lines.append((text, link_chars))
+        buf = []
+        link_chars = 0
+
+    stack = [(iter(node.children), False, False)]  # (children, in_link, is_block)
+    while stack:
+        children, in_link, is_block = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            if is_block:
+                flush()
+        elif isinstance(child, str):
+            buf.append(child)
+            if in_link:
+                link_chars += _collapsed_len(child)
+        elif child.tag not in BLACKLIST:
+            block = child.tag in BLOCK_TAGS
+            if block:
+                flush()
+            stack.append((iter(child.children), in_link or child.tag == "a", block))
+    flush()
+    return lines
+
+
+def _extract_dom(html: str) -> List[Tuple[str, int]]:
+    """The winner's rendered lines through ``html.parser``'s DOM."""
+    builder = _DomBuilder()
+    builder.feed(html)
+    builder.close()
+    root = builder.root
+    candidates, sums = _measure(root)
+    best, best_key = root, None
+    for node in candidates:
+        total, link = sums[id(node)]
+        key = (total - 2 * link, node.depth)  # deepest wins among equal scores
+        if best_key is None or key > best_key:
+            best, best_key = node, key
+    return _render(best)
+
+
+# ------------------------------------------------ both tokenizers against the tree
 
 FIXTURES = (ARTICLE_SIMPLE, LINK_FARM, DEEP_NESTING, MIXED_INLINE, MALFORMED)
 
 
 def dom_result(doc: str):
-    return html_extract._finish(html_extract._extract_dom(doc))
+    return html_extract._finish(_extract_dom(doc))
 
 
 def test_common_pages_take_the_scanner():
-    # a regex slip that sends these to the DOM path costs speed, not
-    # output, so only this test sees it
+    # a regex slip that sends these to the html.parser tokenizer costs
+    # speed, not output, so only this test sees it
     pages = [make_doc_html("alpha beta gamma " * k, farm) for k in (1, 7) for farm in (False, True)]
     for doc in pages + list(FIXTURES):
         lines = html_extract._scan(doc)
@@ -126,13 +263,14 @@ def test_common_pages_take_the_scanner():
 
 
 def test_deep_html_is_text_on_both_paths():
-    # the DOM path used to recurse per element: 1200 levels raised
+    # the tree path used to recurse per element: 1200 levels raised
     # RecursionError and made the row an error row
     body = "<div>" * 5000 + "deep text" + "</div>" * 5000
     doc = f"<html><body>{body}</body></html>"
     fallback = doc.replace("deep text", "deep < text")  # a bare '<' leaves the grammar
     assert html_extract._scan(doc) is not None and html_extract._scan(fallback) is None
     assert extract_html_text(doc) == dom_result(doc) == ("deep text", [(0, 9, "line")])
+    assert html_extract._finish(html_extract._parse(doc)) == extract_html_text(doc)
     assert extract_html_text(fallback) == ("deep < text", [(0, 11, "line")])
     from pdf4py_ray.stages.extract import ExtractTurns
 
@@ -197,3 +335,37 @@ def test_scanner_equals_dom_path(doc):
 @given(st.lists(st.one_of(_clean, _dirty), max_size=40).map("".join))
 def test_any_page_equals_dom_path(doc):
     assert extract_html_text(doc) == dom_result(doc)
+
+
+def test_parser_data_is_decoded_once():
+    # html.parser hands over decoded data; a second unescape would turn
+    # the page's literal "&lt;" into "<"
+    doc = "<div>a &amp;lt; b < c &amp;amp; d</div>"
+    assert html_extract._scan(doc) is None
+    assert extract_html_text(doc) == ("a &lt; b < c &amp; d", [(0, 20, "line")])
+
+
+_noise = st.text(alphabet="<>/&;!?[]-=\"' ab#", max_size=12)
+
+
+def _outcome(extract, doc):
+    """``(text, spans)``, or what ``html.parser`` raised: its markup
+    base rejects some ``<!`` declarations (``<![;``) with an
+    ``AssertionError``, and both paths must then raise the same."""
+    try:
+        return extract(doc)
+    except AssertionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_clean, _dirty, _noise), max_size=40).map("".join))
+@example("<p>&amp;lt;</p>")
+@example("<div>x &amp;&#60; y</div><?pi?><div>&amp;amp;</div>")
+@example("<div>text</div><![;")
+@example("<div>a \xa0 \xa0 b</div><div>abcd</div>")  # no-break spaces are text, not runs
+def test_parser_tokens_equal_dom_path(doc):
+    # the html.parser tokenizer, forced on every page, scanner-accepted
+    # ones included
+    parsed = _outcome(lambda d: html_extract._finish(html_extract._parse(d)), doc)
+    assert parsed == _outcome(dom_result, doc)
